@@ -36,7 +36,7 @@ from .errors import (
     SelfLoopError,
     ShapeMismatchError,
 )
-from .graph import oriented_edges, two_core
+from .graph import oriented_edges, reversal_permutation, two_core
 
 _PARAM_ERRORS = (
     BadParameterError, DegreeTooSmallError, SelfLoopError, DuplicateEdgeError,
@@ -91,10 +91,7 @@ def _build_matrix(idx, name):
     if name == "L":
         return nbmat.build_L(idx)
     if name == "BV":
-        B = nbmat.build_B(idx)
-        m = idx.m
-        perm = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
-        return B.tocsr()[:, perm].tocsr()
+        return nbmat.build_B(idx)[:, reversal_permutation(idx.m)]
     raise BadParameterError(f"unknown matrix {name!r}")
 
 
@@ -131,33 +128,15 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _basis_and_mus(idx, g, k, seed, dense_cap):
-    n2 = 2 * idx.m
-    mode = "dense" if n2 <= dense_cap else "iterative"
-    basis = spectra.real_eigenbasis_T(idx, k, mode=mode, graph=g, seed=seed)
-    if mode == "dense":
-        B = nbmat.build_B(idx)
-        spec, _ = spectra.dense_eigendecomposition(B, source="B")
-        mus = np.sort(spec.real_values())[::-1][:k]
-        spec_t, _ = spectra.dense_eigendecomposition(nbmat.build_T(idx),
-                                                     source="T")
-        lam_next = cluster._largest_excluded_modulus(spec_t.values,
-                                                     basis.values)
-    else:
-        res = spectra.leading_real_eigenpairs(nbmat.build_B(idx), k, seed=seed)
-        mus, lam_next = res.values, None
-    return basis, mus, lam_next
-
-
 def cmd_bound(args) -> int:
     seed = _resolve_seed(args.seed)
     g = fileio.read_graph(args.graph)
     core, _ = two_core(g)
     idx = oriented_edges(core)
-    basis, mus, lam_next = _basis_and_mus(idx, core, args.k, seed,
-                                          args.dense_cap)
-    report = perturb.bound_report(idx, basis, mus, lambda_kplus1=lam_next,
-                                  seed=seed)
+    mode = spectra.auto_mode(idx, args.dense_cap)
+    basis = spectra.real_eigenbasis_T(idx, args.k, mode=mode, seed=seed)
+    mus = spectra.leading_reals_B(idx, args.k, mode, seed=seed)
+    report = perturb.bound_report(idx, basis, mus, seed=seed)
     _emit(fileio.to_json(report.to_dict()) + "\n", args.out)
     return 0
 
@@ -239,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="eigenvalue closeness radii")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--dense-cap", type=int, default=2000)
+    p.add_argument("--dense-cap", type=int, default=spectra.AUTO_DENSE_CAP)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)

@@ -229,19 +229,21 @@ def overlap(pred, truth, k: int) -> float:
 
 
 def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
-             truth=None, variant: str = "drow_sqrt",
-             eig_mode: str = "auto", dense_cap: int = 2000,
-             return_labels: bool = False):
+             truth=None, return_labels: bool = False):
     """Full run: 2-core, eigenbasis, embedding, k-means, node labels, report.
 
     ``source`` is a SimpleGraph or SbmParams (sampled with its own seed; the
-    planted labels become the truth).  mode 'edge_vote' clusters the oriented
-    edges with D_row weights and majority-votes per end node; 'deflate'
+    planted labels become the truth).  Eigenpairs of T and the leading reals
+    of B are solved dense when 2m <= spectra.AUTO_DENSE_CAP, iteratively
+    otherwise.  mode 'edge_vote' clusters the 'drow_sqrt' oriented-edge
+    embedding with D_row weights and majority-votes per end node; 'deflate'
     clusters node representatives and falls back to edge voting when the
     deflation loses the signal.  If fewer than k positive real eigenvalues
     stabilize, the run degrades to the largest feasible basis (recorded in
     the fallback flag) instead of failing; the below-threshold regime lands
-    here by construction.
+    here by construction.  The B reals and the bound are best effort: a
+    partial B solve is used as far as it goes, and the bound is skipped
+    (mu empty, radii None) when no positive mu_1 is found.
 
     Returns a report dict with the fixed key set {lambda, mu, R_paper,
     R_numeric, objective, overlap, mode, fallback, seeds}; with
@@ -264,16 +266,14 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     if g.n == 0:
         raise BadParameterError("graph reduced to nothing; cannot cluster")
     idx = oriented_edges(g)
-    n2 = 2 * idx.m
-    if eig_mode == "auto":
-        eig_mode = "dense" if n2 <= dense_cap else "iterative"
+    eig_mode = spectra.auto_mode(idx)
 
     fallback = False
     basis = None
     for k_try in range(k, 0, -1):
         try:
             basis = spectra.real_eigenbasis_T(idx, k_try, mode=eig_mode,
-                                              graph=g, seed=seed)
+                                              seed=seed)
             break
         except (NotEnoughPositiveRealsError, InsufficientRealRitzError,
                 NoConvergenceError):
@@ -292,7 +292,7 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
             fallback = True
             used_mode = "edge_vote"
     if used_mode == "edge_vote":
-        emb = edge_embedding(basis, idx, variant=variant, weighting="drow")
+        emb = edge_embedding(basis, idx)
 
     try:
         assign = weighted_kmeans(emb, k, seed=seed)
@@ -312,7 +312,16 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     if truth is not None:
         ov = overlap(node_labels, np.asarray(truth), k)
 
-    mus, bound = _b_spectrum_and_bound(idx, basis, seed, eig_mode)
+    try:
+        mus = spectra.leading_reals_B(idx, basis.k, eig_mode, seed=seed)
+    except (InsufficientRealRitzError, NoConvergenceError) as exc:
+        found = getattr(exc, "found", None)
+        mus = found.values[: basis.k] if found is not None else []
+    bound = None
+    if len(mus) and mus[0] > 0:
+        bound = perturb.bound_report(idx, basis, mus, seed=seed)
+    else:
+        mus = []
     report = {
         "lambda": [float(x) for x in basis.values],
         "mu": [float(x) for x in mus],
@@ -329,39 +338,3 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
         return report, node_labels
     return report
 
-
-def _largest_excluded_modulus(values: np.ndarray, taken: np.ndarray):
-    """Largest |eigenvalue| after removing one instance per taken value."""
-    mods = sorted(np.abs(values), reverse=True)
-    for v in taken:
-        target = abs(v)
-        for i, mv in enumerate(mods):
-            if abs(mv - target) <= 1e-9 * (1.0 + target):
-                mods.pop(i)
-                break
-    return float(mods[0]) if mods else None
-
-
-def _b_spectrum_and_bound(idx, basis, seed, eig_mode):
-    """Leading real eigenvalues of B and the bound report; best effort."""
-    B = nbmat.build_B(idx)
-    lam_next = None
-    try:
-        if eig_mode == "dense":
-            spec, _ = spectra.dense_eigendecomposition(B, source="B")
-            reals = np.sort(spec.real_values())[::-1]
-            mus = reals[: basis.k]
-            spec_t, _ = spectra.dense_eigendecomposition(nbmat.build_T(idx),
-                                                         source="T")
-            lam_next = _largest_excluded_modulus(spec_t.values, basis.values)
-        else:
-            res = spectra.leading_real_eigenpairs(B, basis.k, seed=seed)
-            mus = res.values
-    except (InsufficientRealRitzError, NoConvergenceError) as exc:
-        found = getattr(exc, "found", None)
-        mus = found.values if found is not None else np.array([])
-    if len(mus) == 0 or mus[0] <= 0:
-        return np.array([]), None
-    report = perturb.bound_report(idx, basis, mus, lambda_kplus1=lam_next,
-                                  seed=seed)
-    return mus[: basis.k], report

@@ -60,19 +60,22 @@ class OrientedEdgeIndex:
     def reverse(self, e):
         return (e + self.m) % (2 * self.m)
 
-    def startpoint(self, e):
-        return self.start[e]
-
-    def endpoint(self, e):
-        return self.end[e]
-
     def swap_halves(self, x: np.ndarray) -> np.ndarray:
         """Apply the reversal involution to a length-2m coordinate vector."""
         x = np.asarray(x)
         if x.shape[0] != 2 * self.m:
             raise LengthMismatchError(
                 f"expected length {2 * self.m}, got {x.shape[0]}")
-        return np.concatenate([x[self.m:], x[:self.m]], axis=0)
+        return x[reversal_permutation(self.m)]
+
+
+def reversal_permutation(m: int) -> np.ndarray:
+    """Index array of the reversal involution: the half-swap of 0..2m-1.
+
+    ``x[perm]`` reverses the oriented-edge coordinates of ``x`` (along the
+    first axis); ``M[:, perm]`` is ``M V`` and ``M[perm]`` is ``V M``.
+    """
+    return np.concatenate([np.arange(m, 2 * m), np.arange(m)])
 
 
 def from_edge_list(pairs, n: int) -> SimpleGraph:

@@ -22,7 +22,7 @@ from .errors import (
     NoConvergenceError,
     ShapeMismatchError,
 )
-from .graph import OrientedEdgeIndex
+from .graph import OrientedEdgeIndex, reversal_permutation
 
 
 def build_B(idx: OrientedEdgeIndex) -> sp.csr_matrix:
@@ -54,8 +54,7 @@ def apply_V(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[0] % 2 != 0:
         raise LengthMismatchError(f"length {x.shape} is not an even vector")
-    m = x.shape[0] // 2
-    return np.concatenate([x[m:], x[:m]], axis=0)
+    return x[reversal_permutation(x.shape[0] // 2)]
 
 
 def conjugate_by_V(M: sp.spmatrix) -> sp.csr_matrix:
@@ -63,8 +62,7 @@ def conjugate_by_V(M: sp.spmatrix) -> sp.csr_matrix:
     n2 = M.shape[0]
     if M.shape[0] != M.shape[1] or n2 % 2 != 0:
         raise ShapeMismatchError(f"expected square even-dimension matrix, got {M.shape}")
-    m = n2 // 2
-    perm = np.concatenate([np.arange(m, n2), np.arange(m)])
+    perm = reversal_permutation(n2 // 2)
     out = M.tocsr()[perm][:, perm].tocsr()
     out.sort_indices()
     return out

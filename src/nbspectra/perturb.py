@@ -168,21 +168,17 @@ def rank_k_section(basis) -> LinearOperator:
     return LinearOperator((n2, n2), matvec=mv, rmatvec=rmv, dtype=np.float64)
 
 
-def bound_report(idx, basis, mus, lambda_kplus1: float | None = None,
-                 seed: int = 0) -> BoundReport:
+def bound_report(idx, basis, mus, seed: int = 0) -> BoundReport:
     """Assemble the full report for a graph, its eigenbasis, and B's reals.
 
-    Base matrix B / mu_1, perturbed matrix = rank-k section of T.  When
-    lambda_kplus1 is unknown the bulk bound 1/sqrt(c-1) is substituted (c
-    taken from the graph itself).
+    Base matrix B / mu_1, perturbed matrix = rank-k section of T.  R_paper
+    is the degree-only closed form of :func:`paper_R_bound`, which does not
+    depend on lambda_(k+1).
     """
     deg = idx.degrees
     d_min, d_max = int(deg.min()), int(deg.max())
     c = 2.0 * idx.m / idx.n
-    if lambda_kplus1 is None:
-        lambda_kplus1 = 1.0 / np.sqrt(c - 1.0) if c > 1 else 1.0
-    lambda_kplus1 = min(abs(lambda_kplus1), 1.0)
-    raw, closed = paper_R_bound(d_min, d_max, c, lambda_kplus1)
+    _, closed = paper_R_bound(d_min, d_max, c, 0.0)
 
     kappa = spectral_condition_number(basis.Z)
     mus = np.asarray(mus, dtype=np.float64)

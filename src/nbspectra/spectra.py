@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from . import nbmat
 from .errors import (
@@ -24,9 +25,11 @@ from .errors import (
     NoConvergenceError,
     NotEnoughPositiveRealsError,
 )
-from .graph import OrientedEdgeIndex, SimpleGraph, connected_components, is_cycle_graph
+# connected_components stays bound here: perfbench's binding test wraps it
+from .graph import OrientedEdgeIndex, connected_components  # noqa: F401
 
 DENSE_CAP = 6000
+AUTO_DENSE_CAP = 2000     # bound and pipeline solve dense up to this 2m
 
 PERRON = "perron"
 STRUCTURAL_REAL = "structural_real"
@@ -419,14 +422,13 @@ def _positive_real_pairs_iterative(T, k: int, drow: np.ndarray, seed: int,
 
 
 def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
-                      graph: SimpleGraph | None = None, seed: int = 0,
-                      cap: int = DENSE_CAP, tau_im: float = 1e-8) -> RealEigenBasis:
+                      seed: int = 0, cap: int = DENSE_CAP,
+                      tau_im: float = 1e-8) -> RealEigenBasis:
     """Build the k-dimensional real eigenbasis of the transition matrix.
 
     mode 'dense' decomposes the full matrix, 'iterative' uses the block
     iteration under the D_row metric.  Requires a connected 2-core that is
-    not a cycle; pass the underlying graph to enable the checks (it is
-    reconstructed from the index otherwise).
+    not a cycle, checked from the index itself.
 
     The trivial pair is pinned analytically: values[0] = 1 and Z[:, 0] is the
     constant vector scaled so z1' D_row z1 = 1; its left partner is the
@@ -441,13 +443,11 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
         raise BadParameterError(f"k must be positive, got {k}")
     if idx.n == 0 or idx.degrees.min() < 2:
         raise BadParameterError("graph must be a 2-core (min degree >= 2)")
-    g = graph
-    if g is None:
-        from .graph import from_edge_list
-        g = from_edge_list([tuple(e) for e in idx.edges], idx.n)
-    if len(connected_components(g)) != 1:
+    adj = sp.csr_matrix((np.ones(2 * idx.m), (idx.start, idx.end)),
+                        shape=(idx.n, idx.n))
+    if _csgraph_components(adj, directed=False)[0] != 1:
         raise BadParameterError("graph must be connected")
-    if is_cycle_graph(g):
+    if np.all(idx.degrees == 2):
         raise BadParameterError("graph must not be a cycle")
 
     T = nbmat.build_T(idx)
@@ -512,7 +512,7 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
         pivot = np.argmax(np.abs(col))
         if col[pivot] < 0:
             Z[:, j] = -col
-    Zbrev = np.vstack([Z[idx.m:], Z[:idx.m]])
+    Zbrev = idx.swap_halves(Z)
     g_pair = np.array([Z[:, j] @ Zbrev[:, j] for j in range(k)])
 
     # left vectors from the reversal pairing, dense transpose fallback
@@ -551,6 +551,26 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
         "end_sums": end_sums,
     }
     return RealEigenBasis(k=k, values=values, Z=Z, W=W, diagnostics=diagnostics)
+
+
+def auto_mode(idx: OrientedEdgeIndex, dense_cap: int = AUTO_DENSE_CAP) -> str:
+    """'dense' when the oriented-edge dimension 2m is at most dense_cap."""
+    return "dense" if 2 * idx.m <= dense_cap else "iterative"
+
+
+def leading_reals_B(idx: OrientedEdgeIndex, k: int, mode: str,
+                    seed: int = 0) -> np.ndarray:
+    """Leading real eigenvalues of B, descending, at most k of them.
+
+    mode 'dense' reads them off the full spectrum; otherwise the block
+    iteration runs and its InsufficientRealRitzError / NoConvergenceError
+    propagate (the former carries the partial result in ``found``).
+    """
+    B = nbmat.build_B(idx)
+    if mode == "dense":
+        spec, _ = dense_eigendecomposition(B, source="B")
+        return np.sort(spec.real_values())[::-1][:k]
+    return leading_real_eigenpairs(B, k, seed=seed).values
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

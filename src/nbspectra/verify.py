@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import nbmat, spectra
+from .errors import DimensionCapError
 from .graph import (
     SimpleGraph,
     connected_components,
@@ -19,6 +20,7 @@ from .graph import (
     is_bipartite,
     is_cycle_graph,
     oriented_edges,
+    reversal_permutation,
 )
 
 ALL_SUITES = ("pt", "stochastic", "svd", "sums", "theorem1", "bipartite",
@@ -68,7 +70,7 @@ def suite_pt(g: SimpleGraph):
                         _csr_bit_equal(nbmat.transpose(B),
                                        nbmat.conjugate_by_V(B)), 0.0))
     m = idx.m
-    perm = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
+    perm = reversal_permutation(m)
     BV = B.tocsr()[:, perm].tocsr()
     VB = B.tocsr()[perm].tocsr()
     out.append(_finding("pt", "B V symmetric",
@@ -80,7 +82,7 @@ def suite_pt(g: SimpleGraph):
                         _csr_bit_equal(BV, gram), 0.0))
     drow = nbmat.build_D_row(idx)
     dcol = nbmat.build_D_col(idx)
-    swap = np.concatenate([drow[m:], drow[:m]])
+    swap = drow[perm]
     out.append(_finding("pt", "D_col == V D_row V",
                         0.0 if np.array_equal(dcol, swap) else float("inf"),
                         0.0))
@@ -110,6 +112,9 @@ def suite_stochastic(g: SimpleGraph, tol=1e-12):
 
 def suite_svd(g: SimpleGraph, tol=1e-8):
     idx = oriented_edges(g)
+    if 2 * idx.m > spectra.DENSE_CAP:
+        raise DimensionCapError(
+            f"dimension {2 * idx.m} exceeds dense cap {spectra.DENSE_CAP}")
     B = nbmat.build_B(idx).toarray()
     numeric = np.sort(np.linalg.svd(B, compute_uv=False))[::-1]
     closed = spectra.closed_form_singular_values_B(idx)
@@ -155,7 +160,7 @@ def suite_theorem1(g: SimpleGraph, tol=1e-8):
     reals = spec.real_values()
     n_pos = int(np.sum(reals > 1e-10))
     k = 2 if n_pos >= 2 else 1
-    basis = spectra.real_eigenbasis_T(idx, k, mode="dense", graph=g)
+    basis = spectra.real_eigenbasis_T(idx, k, mode="dense")
     drow = nbmat.build_D_row(idx)
     gram = basis.Z.T @ (drow[:, None] * basis.Z) - np.eye(k)
     bi = basis.Z.T @ basis.W - np.eye(k)

@@ -192,8 +192,7 @@ def theorem1_runs():
         smp = nb.sample(nb.SbmParams(n=600, k=2, a=16.0, b=4.0, seed=seed))
         g = smp.graph
         idx = nb.oriented_edges(g)
-        basis = nb.real_eigenbasis_T(idx, 2, mode="iterative", graph=g,
-                                     seed=seed)
+        basis = nb.real_eigenbasis_T(idx, 2, mode="iterative", seed=seed)
         drow = nb.build_D_row(idx)
         gram_err = float(np.max(np.abs(
             basis.Z.T @ (drow[:, None] * basis.Z) - np.eye(2))))

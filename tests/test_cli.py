@@ -3,8 +3,9 @@ import json
 import pytest
 
 import nbspectra as nb
-from nbspectra import fileio
+from nbspectra import fileio, spectra, verify
 from nbspectra.cli import main
+from nbspectra.errors import DimensionCapError
 
 from conftest import k4
 
@@ -109,6 +110,15 @@ def test_verify_corrupt_file_exit_3(tmp_path):
     assert main(["verify", "--graph", str(tmp_path / "missing.tsv")]) == 3
 
 
+def test_verify_svd_dimension_cap_exit_2(tmp_path, monkeypatch):
+    # K4 has 2m = 12; the svd suite must refuse to densify B above the cap
+    monkeypatch.setattr(spectra, "DENSE_CAP", 11)
+    with pytest.raises(DimensionCapError):
+        verify.run_suites(k4(), ["svd"])
+    graph = write_k4(tmp_path)
+    assert main(["verify", "--graph", graph, "--suites", "svd"]) == 2
+
+
 def test_bound_k4(tmp_path):
     graph = write_k4(tmp_path)
     out = tmp_path / "b.json"
@@ -135,6 +145,29 @@ def test_cluster_with_truth_overlap_range(tmp_path):
     labels = fileio.read_labels(str(assign))
     g = fileio.read_graph(str(d / "graph.tsv"))
     assert len(labels) == g.n
+
+
+def test_bound_and_cluster_agree(tmp_path):
+    # both commands report the same eigenbasis, B reals and closed-form radius
+    for seed in ("3", "4"):
+        d = tmp_path / f"gen{seed}"
+        assert main(["gen", "--n", "40", "--k", "2", "--a", "16", "--b", "4",
+                     "--seed", seed, "--out-dir", str(d)]) == 0
+        graph = str(d / "graph.tsv")
+        b_out, c_out = d / "bound.json", d / "cluster.json"
+        assert main(["bound", "--graph", graph, "--k", "2", "--seed", seed,
+                     "--out", str(b_out)]) == 0
+        assert main(["cluster", "--graph", graph, "--k", "2", "--seed", seed,
+                     "--truth", str(d / "labels.tsv"),
+                     "--assign", str(d / "assign.tsv"),
+                     "--out", str(c_out)]) == 0
+        bound = json.loads(read_bytes(b_out))
+        clus = json.loads(read_bytes(c_out))
+        assert len(bound["matches"]) == len(clus["lambda"]) == 2
+        for i, match in enumerate(bound["matches"]):
+            assert clus["lambda"][i] == match["lambda"]
+            assert clus["mu"][i] / clus["mu"][0] == match["mu_over_mu1"]
+        assert clus["R_paper"] == bound["R_paper"]
 
 
 def test_pipeline_deflate_k4_fallback(tmp_path):

@@ -15,7 +15,7 @@ from conftest import k4, petersen
 def _k4_basis():
     g = k4()
     idx = nb.oriented_edges(g)
-    return nb.real_eigenbasis_T(idx, 2, graph=g), idx
+    return nb.real_eigenbasis_T(idx, 2), idx
 
 
 def test_edge_embedding_k4_weights():

@@ -47,7 +47,7 @@ def test_bauer_fike_diagonal_example():
 def test_bauer_fike_k4_rank_k_section():
     g = k4()
     idx = nb.oriented_edges(g)
-    basis = nb.real_eigenbasis_T(idx, 2, graph=g)
+    basis = nb.real_eigenbasis_T(idx, 2)
     B = nb.build_B(idx)
     R = nb.bauer_fike_radius(basis.Z, B.toarray() / 2.0,
                              perturb.rank_k_section(basis))
@@ -112,8 +112,8 @@ def test_match_and_verify_errors_and_sanity():
 def test_bound_report_k4():
     g = k4()
     idx = nb.oriented_edges(g)
-    basis = nb.real_eigenbasis_T(idx, 2, graph=g)
-    rep = nb.bound_report(idx, basis, np.array([2.0, 1.0]), lambda_kplus1=0.5)
+    basis = nb.real_eigenbasis_T(idx, 2)
+    rep = nb.bound_report(idx, basis, np.array([2.0, 1.0]))
     assert rep.R_paper == pytest.approx(0.5)
     assert rep.kappa_numeric == pytest.approx(1.0, abs=1e-9)
     assert rep.kappa_bound_ratio == pytest.approx(1.0)
@@ -124,7 +124,7 @@ def test_bound_report_k4():
 def test_kappa_bounds_reported_on_petersen():
     g = petersen()
     idx = nb.oriented_edges(g)
-    basis = nb.real_eigenbasis_T(idx, 2, graph=g)
+    basis = nb.real_eigenbasis_T(idx, 2)
     rep = nb.bound_report(idx, basis, np.array([2.0, 1.0]))
     # 3-regular: both degree-based bounds are exact here
     assert rep.kappa_numeric <= rep.kappa_bound_ratio + 1e-9

@@ -175,7 +175,7 @@ def test_leading_matches_dense_on_sbm():
 def test_real_eigenbasis_k4_frozen_values():
     g = k4()
     idx = nb.oriented_edges(g)
-    basis = nb.real_eigenbasis_T(idx, 2, graph=g)
+    basis = nb.real_eigenbasis_T(idx, 2)
     assert np.allclose(basis.values, [1.0, 0.5], atol=1e-10)
     assert np.allclose(basis.Z[:, 0], 1.0 / np.sqrt(24.0))
     assert basis.diagnostics["pairing"][1] == pytest.approx(-0.5, abs=1e-10)
@@ -187,7 +187,7 @@ def test_real_eigenbasis_k4_frozen_values():
 def test_real_eigenbasis_invariants():
     for g in [k4(), k33(), petersen()]:
         idx = nb.oriented_edges(g)
-        basis = nb.real_eigenbasis_T(idx, 2, graph=g)
+        basis = nb.real_eigenbasis_T(idx, 2)
         drow = nb.build_D_row(idx)
         k = basis.k
         assert np.max(np.abs(basis.Z.T @ (drow[:, None] * basis.Z)
@@ -202,7 +202,7 @@ def test_real_eigenbasis_invariants():
 def test_real_eigenbasis_sign_convention():
     g = petersen()
     idx = nb.oriented_edges(g)
-    basis = nb.real_eigenbasis_T(idx, 2, graph=g)
+    basis = nb.real_eigenbasis_T(idx, 2)
     for j in range(basis.k):
         col = basis.Z[:, j]
         assert col[np.argmax(np.abs(col))] > 0
@@ -211,21 +211,25 @@ def test_real_eigenbasis_sign_convention():
 def test_real_eigenbasis_dense_vs_iterative():
     for g in [k4(), petersen()]:
         idx = nb.oriented_edges(g)
-        b1 = nb.real_eigenbasis_T(idx, 2, mode="dense", graph=g)
-        b2 = nb.real_eigenbasis_T(idx, 2, mode="iterative", graph=g, seed=0)
+        b1 = nb.real_eigenbasis_T(idx, 2, mode="dense")
+        b2 = nb.real_eigenbasis_T(idx, 2, mode="iterative", seed=0)
         assert np.max(np.abs(b1.values - b2.values)) <= 1e-8
 
 
 def test_real_eigenbasis_preconditions():
     path = nb.from_edge_list([(0, 1), (1, 2)], 3)
     with pytest.raises(BadParameterError):
-        nb.real_eigenbasis_T(nb.oriented_edges(path), 1, graph=path)
+        nb.real_eigenbasis_T(nb.oriented_edges(path), 1)
     tri = triangle()
-    with pytest.raises(BadParameterError):
-        nb.real_eigenbasis_T(nb.oriented_edges(tri), 1, graph=tri)
+    with pytest.raises(BadParameterError, match="^graph must not be a cycle$"):
+        nb.real_eigenbasis_T(nb.oriented_edges(tri), 1)
+    two_k4 = nb.from_edge_list([(u + s, v + s) for s in (0, 4)
+                                for u, v in k4().edges], 8)
+    with pytest.raises(BadParameterError, match="^graph must be connected$"):
+        nb.real_eigenbasis_T(nb.oriented_edges(two_k4), 1)
     g = k4()
     with pytest.raises(NotEnoughPositiveRealsError):
-        nb.real_eigenbasis_T(nb.oriented_edges(g), 11, graph=g)
+        nb.real_eigenbasis_T(nb.oriented_edges(g), 11)
 
 
 def test_node_sums_examples():
@@ -237,7 +241,7 @@ def test_node_sums_examples():
     with pytest.raises(LengthMismatchError):
         nb.node_sums(np.ones(5), idx)
 
-    basis = nb.real_eigenbasis_T(idx, 2, graph=g)
+    basis = nb.real_eigenbasis_T(idx, 2)
     ss, es = nb.node_sums(basis.Z[:, 1], idx)
     assert np.max(np.abs(ss)) <= 1e-9
     assert np.max(np.abs(es)) <= 1e-9
