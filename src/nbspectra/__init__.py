@@ -20,7 +20,6 @@ from .nbmat import (
     build_Start,
     build_T,
     frobenius_norm,
-    matvec,
     spectral_norm,
     transpose,
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, aslinearoperator, eigsh
 
 from .errors import (
     DegreeTooSmallError,
@@ -116,13 +117,6 @@ def build_Start(idx: OrientedEdgeIndex) -> sp.csr_matrix:
         (np.ones(n2), (np.arange(n2), idx.start)), shape=(n2, idx.n))
 
 
-def matvec(M, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if M.shape[1] != x.shape[0]:
-        raise ShapeMismatchError(f"matrix {M.shape} does not match vector {x.shape}")
-    return M @ x
-
-
 def transpose(M: sp.spmatrix) -> sp.csr_matrix:
     out = M.transpose().tocsr()
     out.sort_indices()
@@ -135,50 +129,30 @@ def frobenius_norm(M) -> float:
     return float(np.linalg.norm(np.asarray(M)))
 
 
-def spectral_norm(M, rtol: float = 1e-10, max_iter: int = 50000, seed: int = 0,
-                  rmatvec=None) -> float:
-    """Largest singular value by power iteration on M^T M.
+def spectral_norm(M, seed: int = 0) -> float:
+    """Largest singular value, by ARPACK Lanczos on M^T M to machine precision.
 
-    ``M`` may be a scipy sparse matrix, a dense array, or any object with a
-    ``shape`` and ``matvec``/``rmatvec`` pair (pass ``rmatvec`` explicitly for
-    plain callables).  Deterministic for a given seed.
+    ``M`` may be a scipy sparse matrix, a dense array or a LinearOperator
+    with ``rmatvec``.  The start vector is drawn from ``default_rng(seed)``,
+    so the result is deterministic for a given seed.  Raises
+    NoConvergenceError when ARPACK does not converge.
     """
-    if sp.issparse(M) or isinstance(M, np.ndarray):
-        A = M
-        mv = lambda v: A @ v
-        rmv = lambda v: A.T @ v
-        ncols = M.shape[1]
-    else:
-        mv = M.matvec
-        rmv = rmatvec if rmatvec is not None else M.rmatvec
-        ncols = M.shape[1]
+    op = aslinearoperator(M)
+    ncols = op.shape[1]
     if ncols == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(ncols)
-    nv = np.linalg.norm(v)
-    if nv == 0:
+    if ncols == 1:                          # eigsh needs k < dimension
+        return float(np.linalg.norm(op.matvec(np.ones(1))))
+    v0 = np.random.default_rng(seed).standard_normal(ncols)
+    if not np.any(op.matvec(v0)):           # ARPACK rejects a zero operator
         return 0.0
-    v /= nv
-    prev = np.inf
-    stable = 0
-    for _ in range(max_iter):
-        w = rmv(mv(v))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        s = np.sqrt(nw)
-        if abs(s - prev) <= rtol * max(s, 1e-300):
-            stable += 1
-            if stable >= 3:
-                return float(s)
-        else:
-            stable = 0
-        prev = s
-    raise NoConvergenceError(
-        f"singular-value power iteration did not reach rtol={rtol} "
-        f"in {max_iter} iterations")
+    try:
+        top = eigsh(op.H @ op, k=1, which="LA", tol=0, v0=v0,
+                    return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise NoConvergenceError(
+            f"Lanczos on M^T M did not converge: {exc}") from exc
+    return float(np.sqrt(max(top[0], 0.0)))
 
 
 def entry_count(M: sp.spmatrix) -> int:
@@ -186,11 +160,3 @@ def entry_count(M: sp.spmatrix) -> int:
     M = M.tocsr()
     M.eliminate_zeros()
     return int(M.nnz)
-
-
-def dump_coordinates(M: sp.spmatrix) -> str:
-    """Debug dump: one 'row col value' line per entry, exact decimals."""
-    M = M.tocoo()
-    order = np.lexsort((M.col, M.row))
-    lines = [f"{M.row[i]} {M.col[i]} {format(M.data[i], '.17g')}" for i in order]
-    return "\n".join(lines) + ("\n" if lines else "")

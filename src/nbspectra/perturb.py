@@ -42,16 +42,15 @@ def bauer_fike_radius(U: np.ndarray, A, Bp, seed: int = 0) -> float:
     """kappa(U) * ||Bp - A||: every eigenvalue of Bp is within this of A's.
 
     A and Bp may be dense arrays, sparse matrices, or LinearOperators; the
-    difference norm is the exact spectral norm by power iteration.
+    difference norm is the spectral norm by Lanczos
+    (:func:`nbmat.spectral_norm`), accurate to machine precision.
     """
     opA, opB = _as_operator(A), _as_operator(Bp)
     if opA.shape != opB.shape:
         raise BadParameterError(
             f"base {opA.shape} and perturbed {opB.shape} shapes differ")
     kappa = spectral_condition_number(U)
-    diff = opB - opA
-    norm = nbmat.spectral_norm(diff, rtol=1e-10, seed=seed,
-                               rmatvec=diff.rmatvec)
+    norm = nbmat.spectral_norm(opB - opA, seed=seed)
     return float(kappa * norm)
 
 

@@ -30,6 +30,14 @@ from .graph import OrientedEdgeIndex, connected_components  # noqa: F401
 
 DENSE_CAP = 6000
 AUTO_DENSE_CAP = 2000     # bound and pipeline solve dense up to this 2m
+TAU_IM = 1e-8             # a value is real when |imag| <= TAU_IM * (1 + |value|)
+
+# fixed rules of the block iteration in leading_real_eigenpairs
+ROUND_SWEEPS = 400        # sweeps per round before the block may grow
+RESIDUAL_RTOL = 1e-6      # a Ritz pair is kept when its residual <= this * ||M||
+VALUE_RTOL = 1e-8         # leading Ritz values count as stable within this
+STABLE_WINDOW = 5         # ... over this many consecutive sweeps
+SMALL_DIM = 512           # operators up to this dimension may grow the block fully
 
 PERRON = "perron"
 STRUCTURAL_REAL = "structural_real"
@@ -54,7 +62,7 @@ class Spectrum:
     def __len__(self):
         return len(self.values)
 
-    def real_values(self, tau_im: float = 1e-8) -> np.ndarray:
+    def real_values(self, tau_im: float = TAU_IM) -> np.ndarray:
         v = self.values
         mask = np.abs(v.imag) <= tau_im * (1.0 + np.abs(v))
         return v.real[mask]
@@ -78,21 +86,23 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
 
 
 def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP,
-                             source: str = "", tau_im: float = 1e-8):
+                             source: str = ""):
     """Full spectrum of a square real matrix, optionally with right vectors.
 
     Exactly symmetric inputs go through the symmetric path and come back with
     real eigenvalues and orthonormal vectors.  Eigenvectors of real
     eigenvalues are returned with all-real coordinates.  Raises
-    DimensionCapError above ``cap`` and NoConvergenceError if the QR iteration
-    fails or a residual exceeds 1e-8 * ||M||.
+    DimensionCapError above ``cap``, before densifying, and NoConvergenceError
+    if the QR iteration fails or a residual exceeds 1e-8 * ||M||.
     """
-    A = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise BadParameterError(f"expected a square matrix, got shape {A.shape}")
-    nn = A.shape[0]
+    if not sp.issparse(M):
+        M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise BadParameterError(f"expected a square matrix, got shape {M.shape}")
+    nn = M.shape[0]
     if nn > cap:
         raise DimensionCapError(f"dimension {nn} exceeds dense cap {cap}")
+    A = M.toarray() if sp.issparse(M) else M
     if nn == 0:
         spec = Spectrum(values=np.array([], dtype=complex), source=source)
         return (spec, np.zeros((0, 0), dtype=complex)) if want_vectors else (spec, None)
@@ -122,7 +132,7 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
     if V is not None:
         V = V[:, order]
         # make vectors of real eigenvalues real: rotate out the global phase
-        real_mask = np.abs(w.imag) <= tau_im * (1.0 + np.abs(w))
+        real_mask = np.abs(w.imag) <= TAU_IM * (1.0 + np.abs(w))
         for i in np.nonzero(real_mask)[0]:
             col = V[:, i]
             pivot = col[np.argmax(np.abs(col))]
@@ -132,7 +142,7 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
             nrm = np.linalg.norm(colr)
             if nrm > 0:
                 V[:, i] = colr / nrm
-        norm_a = nbmat.spectral_norm(A, rtol=1e-3, max_iter=2000)
+        norm_a = nbmat.spectral_norm(A)
         resid = np.linalg.norm(A @ V - V * w[None, :], axis=0)
         backward = float(resid.max() / max(norm_a, 1e-300))
         if backward > 1e-8:
@@ -143,7 +153,7 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
 
 
 def classify_spectrum(spectrum: Spectrum, c: float, delta: float = 0.05,
-                      tau_im: float = 1e-8) -> Spectrum:
+                      tau_im: float = TAU_IM) -> Spectrum:
     """Label each eigenvalue perron / structural_real / real_bulk / complex_bulk.
 
     ``c`` is the average degree of the underlying graph.  The bulk radius is
@@ -212,27 +222,23 @@ def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
 
 
 def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
-                            seed: int = 0, block: int | None = None,
-                            block_cap: int | None = None, max_iter: int = 2000,
-                            round_iter: int = 400,
-                            residual_rtol: float = 1e-6,
-                            value_rtol: float = 1e-8, window: int = 5,
-                            tau_im: float = 1e-8) -> LeadingEigenResult:
+                            seed: int = 0,
+                            max_iter: int = 2000) -> LeadingEigenResult:
     """Largest real eigenvalues of a square operator by block orthogonal iteration.
 
-    Runs power steps on a block of at least k + 4 vectors with Rayleigh-Ritz
-    extraction each sweep.  A Ritz value is retained when its imaginary part
-    is below tau_im * (1 + |value|) and its residual is below residual_rtol *
-    ||M||; convergence requires the k leading retained values to be stable to
-    value_rtol over ``window`` consecutive sweeps and to sit above the modulus
-    floor of the converged block (so no larger real eigenvalue can hide below
-    the block).  When a round of ``round_iter`` sweeps stalls the block is
-    doubled up to ``block_cap``; by default small operators (dimension <= 512)
-    may grow to full dimension, where the projection is exact, while large
-    ones get one doubling before the stall is treated as missing spectral
-    separation.  ``max_iter`` bounds the total sweeps across rounds.
-    ``inner`` supplies a diagonal metric for orthogonalization.
-    Deterministic for a given seed.
+    Runs power steps on a block of k + 4 vectors (at most the dimension) with
+    Rayleigh-Ritz extraction each sweep.  The rules below are module
+    constants.  A Ritz value is retained when its imaginary part is at most
+    TAU_IM * (1 + |value|) and its residual at most RESIDUAL_RTOL * ||M||;
+    convergence requires the k leading retained values to be stable to
+    VALUE_RTOL over STABLE_WINDOW consecutive sweeps and to sit above the
+    modulus floor of the converged block (so no larger real eigenvalue can
+    hide below the block).  When a round of ROUND_SWEEPS sweeps stalls the
+    block is doubled: operators of dimension <= SMALL_DIM may grow to full
+    dimension, where the projection is exact, while larger ones get one
+    doubling before the stall is treated as missing spectral separation.
+    ``max_iter`` bounds the total sweeps across rounds.  ``inner`` supplies a
+    diagonal metric for orthogonalization.  Deterministic for a given seed.
 
     Raises InsufficientRealRitzError (with partial result attached) when
     fewer than k real values stabilize, NoConvergenceError when none do.
@@ -244,28 +250,27 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
         raise BadParameterError(f"k={k} outside [1, {nn}]")
     d = None if inner is None else np.asarray(inner, dtype=np.float64)
     try:
-        norm_m = nbmat.spectral_norm(M, rtol=1e-4, max_iter=2000, seed=seed)
+        norm_m = nbmat.spectral_norm(M, seed=seed)
     except NoConvergenceError:
         norm_m = nbmat.frobenius_norm(M)
     norm_m = max(norm_m, 1e-300)
 
     rng = np.random.default_rng(seed)
-    p = min(max(block or 0, k + 4), nn)
-    if block_cap is None:
-        block_cap = nn if nn <= 512 else max(2 * (k + 4), 2 * p)
+    p = min(k + 4, nn)
+    block_cap = nn if nn <= SMALL_DIM else 2 * (k + 4)
     Q = _metric_orthonormalize(rng.standard_normal((nn, p)), d)
 
     total_it = 0
     best_partial = (np.array([]), np.zeros((nn, 0)), np.array([]))
     while True:
         history = []
-        budget = min(round_iter, max_iter - total_it)
+        budget = min(ROUND_SWEEPS, max_iter - total_it)
         for _ in range(budget):
             total_it += 1
             Y = M @ Q
             H = Q.T @ (Y if d is None else d[:, None] * Y)
             theta, S = np.linalg.eig(H)
-            real_mask = np.abs(theta.imag) <= tau_im * (1.0 + np.abs(theta))
+            real_mask = np.abs(theta.imag) <= TAU_IM * (1.0 + np.abs(theta))
             ridx = np.nonzero(real_mask)[0]
             ridx = ridx[np.argsort(-theta.real[ridx])]
             cand_vals, cand_res, cand_vecs = [], [], []
@@ -283,7 +288,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                 cand_res.append(r)
                 cand_vecs.append(v)
             ok = [i for i in range(len(cand_vals))
-                  if cand_res[i] <= residual_rtol * norm_m]
+                  if cand_res[i] <= RESIDUAL_RTOL * norm_m]
             if len(ok) >= max(len(best_partial[0]), 1):
                 sel = ok[: max(k, len(ok))]
                 best_partial = (
@@ -293,11 +298,12 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                 )
             history.append(np.array(cand_vals[:k]))
             converged = False
-            if len(history) >= window and all(len(h) >= k for h in history[-window:]):
+            recent = history[-STABLE_WINDOW:]
+            if len(history) >= STABLE_WINDOW and all(len(h) >= k for h in recent):
                 ref = history[-1][:k]
                 stable = all(
-                    np.max(np.abs(h[:k] - ref) / (1.0 + np.abs(ref))) <= value_rtol
-                    for h in history[-window:])
+                    np.max(np.abs(h[:k] - ref) / (1.0 + np.abs(ref))) <= VALUE_RTOL
+                    for h in recent)
                 resid_ok = (len(ok) >= k and all(i in ok for i in range(k)))
                 floor = np.min(np.abs(theta)) if p < nn else -np.inf
                 complete = ref[k - 1] >= floor - max(1e-8, 1e-6 * abs(floor))
@@ -311,7 +317,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                                           block_size=p)
             Q = _metric_orthonormalize(Y, d)
         # stalled: grow the block or give up
-        p_new = min(2 * p, max(block_cap, k + 4), nn) if p < nn else p
+        p_new = min(2 * p, block_cap, nn)
         if p_new <= p or total_it >= max_iter:
             found_vals, found_vecs, found_res = best_partial
             if len(found_vals) == 0:
@@ -383,11 +389,11 @@ def _cluster_real_values(vals: np.ndarray, rel_tol: float = 1e-7):
     return clusters
 
 
-def _positive_real_pairs_dense(T, k: int, cap: int, tau_im: float):
-    spec, V = dense_eigendecomposition(T, want_vectors=True, cap=cap, source="T",
-                                       tau_im=tau_im)
+def _positive_real_pairs_dense(T, k: int):
+    spec, V = dense_eigendecomposition(T, want_vectors=True, cap=DENSE_CAP,
+                                       source="T")
     w = spec.values
-    mask = (np.abs(w.imag) <= tau_im * (1.0 + np.abs(w))) & (w.real > 1e-10)
+    mask = (np.abs(w.imag) <= TAU_IM * (1.0 + np.abs(w))) & (w.real > 1e-10)
     pos = np.nonzero(mask)[0]
     if len(pos) < k:
         raise NotEnoughPositiveRealsError(
@@ -405,10 +411,9 @@ def _positive_real_pairs_dense(T, k: int, cap: int, tau_im: float):
     return vals[:keep], vecs[:, :keep]
 
 
-def _positive_real_pairs_iterative(T, k: int, drow: np.ndarray, seed: int,
-                                   tau_im: float):
+def _positive_real_pairs_iterative(T, k: int, drow: np.ndarray, seed: int):
     try:
-        res = leading_real_eigenpairs(T, k, inner=drow, seed=seed, tau_im=tau_im)
+        res = leading_real_eigenpairs(T, k, inner=drow, seed=seed)
     except InsufficientRealRitzError as exc:
         if exc.found is None:
             raise NotEnoughPositiveRealsError(str(exc)) from exc
@@ -422,13 +427,13 @@ def _positive_real_pairs_iterative(T, k: int, drow: np.ndarray, seed: int,
 
 
 def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
-                      seed: int = 0, cap: int = DENSE_CAP,
-                      tau_im: float = 1e-8) -> RealEigenBasis:
+                      seed: int = 0) -> RealEigenBasis:
     """Build the k-dimensional real eigenbasis of the transition matrix.
 
     mode 'dense' decomposes the full matrix, 'iterative' uses the block
-    iteration under the D_row metric.  Requires a connected 2-core that is
-    not a cycle, checked from the index itself.
+    iteration under the D_row metric; dense decompositions are capped at
+    DENSE_CAP, read at call time.  Requires a connected 2-core that is not a
+    cycle, checked from the index itself.
 
     The trivial pair is pinned analytically: values[0] = 1 and Z[:, 0] is the
     constant vector scaled so z1' D_row z1 = 1; its left partner is the
@@ -455,9 +460,9 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     n2 = 2 * idx.m
 
     if mode == "dense":
-        vals, vecs = _positive_real_pairs_dense(T, k, cap, tau_im)
+        vals, vecs = _positive_real_pairs_dense(T, k)
     elif mode == "iterative":
-        vals, vecs = _positive_real_pairs_iterative(T, k, drow, seed, tau_im)
+        vals, vecs = _positive_real_pairs_iterative(T, k, drow, seed)
     else:
         raise BadParameterError(f"unknown mode {mode!r}")
 
@@ -521,12 +526,12 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
         if abs(g_pair[j]) > 1e-10:
             W0[:, j] = Zbrev[:, j] / g_pair[j]
         else:
-            if n2 > cap:
+            if n2 > DENSE_CAP:
                 raise DegenerateBilinearFormError(
                     f"reversal pairing vanished for pair {j} and the dense "
                     f"transpose fallback is unavailable at dimension {n2}")
             specT, VT = dense_eigendecomposition(T.T, want_vectors=True,
-                                                 cap=cap, source="T")
+                                                 cap=DENSE_CAP, source="T")
             close = np.argmin(np.abs(specT.values - values[j]))
             W0[:, j] = np.real(VT[:, close])
     C = Z.T @ W0

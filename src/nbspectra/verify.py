@@ -16,9 +16,7 @@ from .errors import DimensionCapError
 from .graph import (
     SimpleGraph,
     connected_components,
-    from_edge_list,
     is_bipartite,
-    is_cycle_graph,
     oriented_edges,
     reversal_permutation,
 )
@@ -195,14 +193,8 @@ def suite_components(g: SimpleGraph, tol=1e-8):
     L = nbmat.build_L(idx)
     spec, _ = spectra.dense_eigendecomposition(L, source="L")
     comps = connected_components(g)
-    any_cycle = False
-    for comp in comps:
-        members = set(comp.tolist())
-        sub_edges = [(int(np.searchsorted(comp, u)), int(np.searchsorted(comp, v)))
-                     for u, v in g.edges if int(u) in members]
-        sub = from_edge_list(sub_edges, len(comp))
-        if is_cycle_graph(sub):
-            any_cycle = True
+    # a component is a cycle exactly when each of its nodes has degree 2
+    any_cycle = any(np.all(idx.degrees[comp] == 2) for comp in comps)
     zero_mult = int(np.sum(np.abs(spec.values) <= tol))
     if any_cycle:
         return [_finding("components",

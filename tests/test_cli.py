@@ -103,6 +103,27 @@ def test_verify_k33_sums_diagnostic_informational(tmp_path):
     assert info and max(f["residual"] for f in info) > 1e-3
 
 
+def test_verify_components_cycle_and_plain():
+    k4_edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    # a triangle component is a cycle: L's 0-multiplicity is informational
+    tri_k4 = nb.from_edge_list(
+        [(0, 1), (0, 2), (1, 2)] + [(3 + i, 3 + j) for i, j in k4_edges], 7)
+    ok, findings = verify.run_suites(tri_k4, ["components"])
+    assert ok and findings == [{
+        "suite": "components",
+        "check": "0-multiplicity of L (cycle component present)",
+        "residual": 3.0, "tolerance": None, "pass": True,
+        "informational": True}]
+    two_k4 = nb.from_edge_list(
+        k4_edges + [(4 + i, 4 + j) for i, j in k4_edges], 8)
+    ok, findings = verify.run_suites(two_k4, ["components"])
+    assert ok and findings == [{
+        "suite": "components",
+        "check": "0-multiplicity of L == number of components",
+        "residual": 0.0, "tolerance": 0.0, "pass": True,
+        "informational": False}]
+
+
 def test_verify_corrupt_file_exit_3(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("0\t1\n")          # missing n= header

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import nbspectra as nb
 from nbspectra import spectra
@@ -39,9 +40,16 @@ def test_dense_identity_and_swap():
     assert np.allclose(spec.values, [1.0, -1.0])
 
 
+class _NoDensify(sp.csr_matrix):
+    def toarray(self, *args, **kwargs):
+        raise AssertionError("densified before the cap check")
+
+
 def test_dense_dimension_cap():
     with pytest.raises(DimensionCapError):
         nb.dense_eigendecomposition(np.eye(10), cap=5)
+    with pytest.raises(DimensionCapError):
+        nb.dense_eigendecomposition(_NoDensify(sp.eye(10, format="csr")), cap=5)
 
 
 def test_k4_B_spectrum_matches_closed_form_and_oracle():
