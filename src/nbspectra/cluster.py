@@ -238,12 +238,14 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     otherwise.  mode 'edge_vote' clusters the 'drow_sqrt' oriented-edge
     embedding with D_row weights and majority-votes per end node; 'deflate'
     clusters node representatives and falls back to edge voting when the
-    deflation loses the signal.  If fewer than k positive real eigenvalues
-    stabilize, the run degrades to the largest feasible basis (recorded in
-    the fallback flag) instead of failing; the below-threshold regime lands
-    here by construction.  The B reals and the bound are best effort: a
-    partial B solve is used as far as it goes, and the bound is skipped
-    (mu empty, radii None) when no positive mu_1 is found.
+    deflation loses the signal.  The eigenbasis of T is solved once: if only
+    j < k positive real eigenvalues are found, the run degrades to the
+    j-dimensional basis that solve already assembled (recorded in the
+    fallback flag) instead of failing; the below-threshold regime lands here
+    by construction, and there the iterative solve stops as soon as the k-th
+    Ritz value sits inside the bulk disk.  The B reals and the bound are best
+    effort: a partial B solve is used as far as it goes, and the bound is
+    skipped (mu empty, radii None) when no positive mu_1 is found.
 
     Returns a report dict with the fixed key set {lambda, mu, R_paper,
     R_numeric, objective, overlap, mode, fallback, seeds}; with
@@ -269,20 +271,13 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     eig_mode = spectra.auto_mode(idx)
 
     fallback = False
-    basis = None
-    for k_try in range(k, 0, -1):
-        try:
-            basis = spectra.real_eigenbasis_T(idx, k_try, mode=eig_mode,
-                                              seed=seed)
-            break
-        except (NotEnoughPositiveRealsError, InsufficientRealRitzError,
-                NoConvergenceError):
-            fallback = True
-            continue
-    if basis is None:
-        raise NoConvergenceError("not even the trivial eigenpair converged")
-    if basis.k < k:
-        fallback = True
+    try:
+        basis = spectra.real_eigenbasis_T(idx, k, mode=eig_mode, seed=seed)
+    except NotEnoughPositiveRealsError as exc:
+        if exc.basis is None:
+            raise NoConvergenceError(
+                "not even the trivial eigenpair converged") from exc
+        basis, fallback = exc.basis, True
 
     used_mode = mode
     emb = None

@@ -58,7 +58,15 @@ class InsufficientRealRitzError(NbspectraError):
 
 
 class NotEnoughPositiveRealsError(NbspectraError):
-    """The spectrum does not contain the requested number of positive reals."""
+    """The spectrum does not contain the requested number of positive reals.
+
+    When j >= 1 usable pairs were found, the j-dimensional real eigenbasis
+    assembled from them is attached as the ``basis`` attribute.
+    """
+
+    def __init__(self, message, basis=None):
+        super().__init__(message)
+        self.basis = basis
 
 
 class DegenerateBilinearFormError(NbspectraError):

@@ -9,6 +9,7 @@ norms, per-node start/end sums, eigen-residuals).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ RESIDUAL_RTOL = 1e-6      # a Ritz pair is kept when its residual <= this * ||M|
 VALUE_RTOL = 1e-8         # leading Ritz values count as stable within this
 STABLE_WINDOW = 5         # ... over this many consecutive sweeps
 SMALL_DIM = 512           # operators up to this dimension may grow the block fully
+BULK_MARGIN = 0.05        # a value is structural beyond (1 + this) * bulk radius
 
 PERRON = "perron"
 STRUCTURAL_REAL = "structural_real"
@@ -152,7 +154,7 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
     return spec, V
 
 
-def classify_spectrum(spectrum: Spectrum, c: float, delta: float = 0.05,
+def classify_spectrum(spectrum: Spectrum, c: float, delta: float = BULK_MARGIN,
                       tau_im: float = TAU_IM) -> Spectrum:
     """Label each eigenvalue perron / structural_real / real_bulk / complex_bulk.
 
@@ -221,9 +223,21 @@ def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
     return Q / sq[:, None]
 
 
+def _leading_stable(history: list, ok: list, j: int) -> bool:
+    """The j leading candidates held within VALUE_RTOL over the last
+    STABLE_WINDOW sweeps and pass the residual test in this one."""
+    recent = history[-STABLE_WINDOW:]
+    if len(history) < STABLE_WINDOW or any(len(h) < j for h in recent):
+        return False
+    ref = history[-1][:j]
+    stable = all(np.max(np.abs(h[:j] - ref) / (1.0 + np.abs(ref))) <= VALUE_RTOL
+                 for h in recent)
+    return stable and len(ok) >= j and all(i in ok for i in range(j))
+
+
 def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
-                            seed: int = 0,
-                            max_iter: int = 2000) -> LeadingEigenResult:
+                            seed: int = 0, max_iter: int = 2000,
+                            bulk_radius: float | None = None) -> LeadingEigenResult:
     """Largest real eigenvalues of a square operator by block orthogonal iteration.
 
     Runs power steps on a block of k + 4 vectors (at most the dimension) with
@@ -240,8 +254,20 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     ``max_iter`` bounds the total sweeps across rounds.  ``inner`` supplies a
     diagonal metric for orthogonalization.  Deterministic for a given seed.
 
+    ``bulk_radius`` is the radius of the disk that holds all but the
+    structural eigenvalues.  Given it, k >= 2 and a dimension above
+    SMALL_DIM, the solve stops early once the k - 1 leading candidates pass
+    the tests above and the k-th largest Ritz modulus has stayed at or below
+    (1 + BULK_MARGIN) * bulk_radius for ceil(ln sqrt(dim) / ln(1 +
+    BULK_MARGIN)) consecutive sweeps: an eigenvalue beyond that margin gains
+    at least that factor per sweep on the bulk, so by then it would have
+    outgrown its 1/sqrt(dim) share of the random start.  Smaller operators
+    ignore the radius, because their block grows to the exact full
+    projection, which also finds real values inside the disk.
+
     Raises InsufficientRealRitzError (with partial result attached) when
-    fewer than k real values stabilize, NoConvergenceError when none do.
+    fewer than k real values stabilize, or on the early stop (with the k - 1
+    leading pairs), and NoConvergenceError when none do.
     """
     nn = M.shape[0]
     if M.shape[0] != M.shape[1]:
@@ -254,6 +280,10 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     except NoConvergenceError:
         norm_m = nbmat.frobenius_norm(M)
     norm_m = max(norm_m, 1e-300)
+    early = bulk_radius is not None and k >= 2 and nn > SMALL_DIM
+    if early:
+        bulk_edge = (1.0 + BULK_MARGIN) * bulk_radius
+        bulk_window = math.ceil(math.log(math.sqrt(nn)) / math.log1p(BULK_MARGIN))
 
     rng = np.random.default_rng(seed)
     p = min(k + 4, nn)
@@ -264,6 +294,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     best_partial = (np.array([]), np.zeros((nn, 0)), np.array([]))
     while True:
         history = []
+        inside = 0    # consecutive sweeps with the k-th Ritz modulus in the disk
         budget = min(ROUND_SWEEPS, max_iter - total_it)
         for _ in range(budget):
             total_it += 1
@@ -297,24 +328,27 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                     np.array([cand_res[i] for i in sel]),
                 )
             history.append(np.array(cand_vals[:k]))
-            converged = False
-            recent = history[-STABLE_WINDOW:]
-            if len(history) >= STABLE_WINDOW and all(len(h) >= k for h in recent):
-                ref = history[-1][:k]
-                stable = all(
-                    np.max(np.abs(h[:k] - ref) / (1.0 + np.abs(ref))) <= VALUE_RTOL
-                    for h in recent)
-                resid_ok = (len(ok) >= k and all(i in ok for i in range(k)))
+            if _leading_stable(history, ok, k):
                 floor = np.min(np.abs(theta)) if p < nn else -np.inf
-                complete = ref[k - 1] >= floor - max(1e-8, 1e-6 * abs(floor))
-                converged = stable and resid_ok and complete
-            if converged:
-                vals = np.array(cand_vals[:k])
-                vecs = np.column_stack(cand_vecs[:k])
-                res = np.array(cand_res[:k])
-                return LeadingEigenResult(values=vals, vectors=vecs,
-                                          residuals=res, iterations=total_it,
-                                          block_size=p)
+                if cand_vals[k - 1] >= floor - max(1e-8, 1e-6 * abs(floor)):
+                    return LeadingEigenResult(
+                        values=np.array(cand_vals[:k]),
+                        vectors=np.column_stack(cand_vecs[:k]),
+                        residuals=np.array(cand_res[:k]), iterations=total_it,
+                        block_size=p)
+            if early:
+                kth = np.sort(np.abs(theta))[-k]
+                inside = inside + 1 if kth <= bulk_edge else 0
+                if inside >= bulk_window and _leading_stable(history, ok, k - 1):
+                    partial = LeadingEigenResult(
+                        values=np.array(cand_vals[:k - 1]),
+                        vectors=np.column_stack(cand_vecs[:k - 1]),
+                        residuals=np.array(cand_res[:k - 1]),
+                        iterations=total_it, block_size=p)
+                    raise InsufficientRealRitzError(
+                        f"only {k - 1} real Ritz value(s) outside the bulk disk "
+                        f"of radius {bulk_radius:.6g} after {total_it} sweeps, "
+                        f"wanted {k}", found=partial)
             Q = _metric_orthonormalize(Y, d)
         # stalled: grow the block or give up
         p_new = min(2 * p, block_cap, nn)
@@ -390,17 +424,17 @@ def _cluster_real_values(vals: np.ndarray, rel_tol: float = 1e-7):
 
 
 def _positive_real_pairs_dense(T, k: int):
+    """Leading positive real eigenpairs of T: at least k if there are, else all."""
     spec, V = dense_eigendecomposition(T, want_vectors=True, cap=DENSE_CAP,
                                        source="T")
     w = spec.values
     mask = (np.abs(w.imag) <= TAU_IM * (1.0 + np.abs(w))) & (w.real > 1e-10)
     pos = np.nonzero(mask)[0]
-    if len(pos) < k:
-        raise NotEnoughPositiveRealsError(
-            f"only {len(pos)} positive real eigenvalues, wanted {k}")
     order = pos[np.argsort(-w.real[pos])]
     vals = w.real[order]
     vecs = np.real(V[:, order])
+    if len(vals) < k:
+        return vals, vecs
     # keep whole clusters so degenerate eigenspaces are orthonormalized jointly
     clusters = _cluster_real_values(vals)
     keep = 0
@@ -411,18 +445,15 @@ def _positive_real_pairs_dense(T, k: int):
     return vals[:keep], vecs[:, :keep]
 
 
-def _positive_real_pairs_iterative(T, k: int, drow: np.ndarray, seed: int):
+def _positive_real_pairs_iterative(T, k: int, drow: np.ndarray, seed: int,
+                                   bulk_radius: float):
+    """Leading positive real eigenpairs of T that stabilized, at most k."""
     try:
-        res = leading_real_eigenpairs(T, k, inner=drow, seed=seed)
+        res = leading_real_eigenpairs(T, k, inner=drow, seed=seed,
+                                      bulk_radius=bulk_radius)
     except InsufficientRealRitzError as exc:
-        if exc.found is None:
-            raise NotEnoughPositiveRealsError(str(exc)) from exc
         res = exc.found
     mask = res.values > 1e-10
-    if int(mask.sum()) < k:
-        raise NotEnoughPositiveRealsError(
-            f"only {int(mask.sum())} positive real eigenvalues stabilized, "
-            f"wanted {k}")
     return res.values[mask][:k], res.vectors[:, mask][:, :k]
 
 
@@ -431,9 +462,11 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     """Build the k-dimensional real eigenbasis of the transition matrix.
 
     mode 'dense' decomposes the full matrix, 'iterative' uses the block
-    iteration under the D_row metric; dense decompositions are capped at
-    DENSE_CAP, read at call time.  Requires a connected 2-core that is not a
-    cycle, checked from the index itself.
+    iteration under the D_row metric, given the bulk radius 1/sqrt(c - 1)
+    with c = 2m/n so that it stops once the k-th Ritz value has settled
+    inside the bulk disk (see leading_real_eigenpairs); dense decompositions
+    are capped at DENSE_CAP, read at call time.  Requires a connected 2-core
+    that is not a cycle, checked from the index itself.
 
     The trivial pair is pinned analytically: values[0] = 1 and Z[:, 0] is the
     constant vector scaled so z1' D_row z1 = 1; its left partner is the
@@ -443,6 +476,11 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     retained columns are those with the most negative pairing.  Left vectors
     come from the reversal pairing w = Vz / (z'Vz) with a dense transpose
     fallback, then are rescaled jointly so Z^T W = I holds exactly.
+
+    Raises NotEnoughPositiveRealsError when only j < k usable positive real
+    pairs are found.  For j >= 1 the error carries, as ``basis``, the
+    j-dimensional basis assembled from the pairs the one solve found, so a
+    caller can fall back without solving again.
     """
     if k < 1:
         raise BadParameterError(f"k must be positive, got {k}")
@@ -457,15 +495,28 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
 
     T = nbmat.build_T(idx)
     drow = nbmat.build_D_row(idx)
-    n2 = 2 * idx.m
 
     if mode == "dense":
         vals, vecs = _positive_real_pairs_dense(T, k)
     elif mode == "iterative":
-        vals, vecs = _positive_real_pairs_iterative(T, k, drow, seed)
+        radius = 1.0 / np.sqrt(2.0 * idx.m / idx.n - 1.0)
+        vals, vecs = _positive_real_pairs_iterative(T, k, drow, seed, radius)
     else:
         raise BadParameterError(f"unknown mode {mode!r}")
+    basis = _basis_from_pairs(idx, T, drow, vals, vecs, k) if len(vals) else None
+    if basis is None or basis.k < k:
+        stabilized = " stabilized" if mode == "iterative" else ""
+        raise NotEnoughPositiveRealsError(
+            f"only {basis.k if basis else 0} positive real eigenvalues"
+            f"{stabilized}, wanted {k}", basis=basis)
+    return basis
 
+
+def _basis_from_pairs(idx: OrientedEdgeIndex, T, drow: np.ndarray,
+                      vals: np.ndarray, vecs: np.ndarray,
+                      k: int) -> RealEigenBasis:
+    """The real eigenbasis on at most k of the given descending pairs."""
+    n2 = 2 * idx.m
     if abs(vals[0] - 1.0) > 1e-6:
         raise NoConvergenceError(
             f"leading eigenvalue {vals[0]} is not the trivial value 1")
@@ -508,8 +559,9 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
         if len(columns) >= k:
             break
 
-    Z = np.column_stack(columns[:k])
-    values = np.array(lambdas[:k])
+    k = len(columns)
+    Z = np.column_stack(columns)
+    values = np.array(lambdas)
 
     # deterministic signs: largest-magnitude coordinate positive
     for j in range(k):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nbspectra as nb
-from nbspectra import cluster, fileio
+from nbspectra import cluster, fileio, spectra
 from nbspectra.errors import (
     BadParameterError,
     DegenerateInputError,
@@ -174,3 +174,20 @@ def test_pipeline_petersen_no_truth():
     assert rep["overlap"] is None
     assert len(labels) == 10
     assert set(labels) <= {0, 1}
+
+
+def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):
+    calls = []
+    solve = spectra.real_eigenbasis_T
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "real_eigenbasis_T", counted)
+    p = nb.SbmParams(n=300, k=2, a=11.0, b=9.0, seed=0)
+    assert 2 * nb.sample(p).graph.m > spectra.AUTO_DENSE_CAP
+    rep = nb.pipeline(p, 2, seed=0)
+    assert calls == [2]
+    assert rep["fallback"] is True
+    assert rep["lambda"] == [1.0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from nbspectra.errors import (
     DimensionCapError,
     InsufficientRealRitzError,
     LengthMismatchError,
+    NoConvergenceError,
     NotEnoughPositiveRealsError,
 )
 
@@ -163,10 +166,54 @@ def test_leading_k4_matches_dense():
 
 
 def test_leading_insufficient_reals():
-    # pure rotation block: no real eigenvalue at all beyond none
+    # a pure rotation has no real eigenvalue, so no real Ritz value stabilizes
     M = np.array([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.raises((InsufficientRealRitzError, Exception)):
+    with pytest.raises(NoConvergenceError,
+                       match="^no real Ritz value stabilized after 50 sweeps$"):
         nb.leading_real_eigenpairs(M, 1, max_iter=50)
+
+
+def _bulk_operator(r, pairs=300, extra=()):
+    """Perron value 1, then 2x2 rotation blocks of moduli in [r/2, r] (the
+    bulk disk), then 1x1 blocks holding the values in ``extra``."""
+    blocks = [sp.csr_matrix([[1.0]])]
+    for i in range(pairs):
+        rho = r * (0.5 + 0.5 * i / (pairs - 1))
+        phi = 0.2 + 2.7 * i / (pairs - 1)
+        c, s = rho * math.cos(phi), rho * math.sin(phi)
+        blocks.append(sp.csr_matrix([[c, -s], [s, c]]))
+    blocks += [sp.csr_matrix([[x]]) for x in extra]
+    return sp.block_diag(blocks, format="csr")
+
+
+def _bulk_window(dim):
+    return math.ceil(math.log(math.sqrt(dim))
+                     / math.log1p(spectra.BULK_MARGIN))
+
+
+def test_leading_stops_once_kth_ritz_value_is_in_bulk():
+    M = _bulk_operator(0.3)
+    assert M.shape[0] >= 600
+    with pytest.raises(InsufficientRealRitzError, match="bulk disk") as info:
+        nb.leading_real_eigenpairs(M, 2, bulk_radius=0.3)
+    found = info.value.found
+    assert found.values.tolist() == [1.0]
+    assert found.iterations <= _bulk_window(M.shape[0]) + spectra.STABLE_WINDOW
+
+
+def test_leading_bulk_radius_keeps_an_eigenvalue_outside_the_disk():
+    M = _bulk_operator(0.3, extra=(1.2 * 0.3,))
+    res = nb.leading_real_eigenpairs(M, 2, bulk_radius=0.3)
+    assert res.values == pytest.approx([1.0, 0.36], abs=1e-10)
+
+
+def test_leading_without_bulk_radius_spends_the_same_sweeps():
+    # sweep counts of the block iteration before the early stop existed
+    with pytest.raises(InsufficientRealRitzError) as info:
+        nb.leading_real_eigenpairs(_bulk_operator(0.3), 2)
+    assert info.value.found.iterations == 800
+    M = _bulk_operator(0.3, extra=(1.2 * 0.3,))
+    assert nb.leading_real_eigenpairs(M, 2).iterations == 77
 
 
 def test_leading_matches_dense_on_sbm():
@@ -178,6 +225,7 @@ def test_leading_matches_dense_on_sbm():
     spec, _ = nb.dense_eigendecomposition(T, source="T")
     dense_reals = np.sort(spec.real_values())[::-1][:2]
     assert np.max(np.abs(res.values - dense_reals)) <= 1e-8
+    assert res.iterations == 32          # as before the bulk-disk early stop
 
 
 def test_real_eigenbasis_k4_frozen_values():
@@ -238,6 +286,21 @@ def test_real_eigenbasis_preconditions():
     g = k4()
     with pytest.raises(NotEnoughPositiveRealsError):
         nb.real_eigenbasis_T(nb.oriented_edges(g), 11)
+
+
+def test_real_eigenbasis_shortfall_carries_the_smaller_basis():
+    idx = nb.oriented_edges(k4())
+    with pytest.raises(NotEnoughPositiveRealsError,
+                       match="^only 4 positive real eigenvalues, wanted 11$"
+                       ) as info:
+        nb.real_eigenbasis_T(idx, 11)
+    basis = info.value.basis
+    assert basis.k == 4 and basis.Z.shape == (12, 4)
+    assert np.allclose(basis.values, [1.0, 0.5, 0.5, 0.5], atol=1e-10)
+    drow = nb.build_D_row(idx)
+    assert np.max(np.abs(basis.Z.T @ (drow[:, None] * basis.Z)
+                         - np.eye(4))) <= 1e-8
+    assert np.max(np.abs(basis.Z.T @ basis.W - np.eye(4))) <= 1e-8
 
 
 def test_node_sums_examples():
