@@ -187,14 +187,11 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0, n_init: int = 10,
 
 
 def node_labels_from_edge_labels(edge_labels, idx: OrientedEdgeIndex,
-                                 k: int | None = None,
-                                 rule: str = "majority_by_end") -> np.ndarray:
+                                 k: int | None = None) -> np.ndarray:
     """Each node takes the most frequent label among edges ending there.
 
     Ties go to the lowest label index.
     """
-    if rule != "majority_by_end":
-        raise BadParameterError(f"unknown rule {rule!r}")
     edge_labels = np.asarray(edge_labels)
     if edge_labels.shape[0] != 2 * idx.m:
         raise LengthMismatchError(

@@ -11,10 +11,14 @@ swapping the first and second halves of any length-2m coordinate vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import (
+    BadParameterError,
     DuplicateEdgeError,
     LengthMismatchError,
     NodeOutOfRangeError,
@@ -24,11 +28,10 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class SimpleGraph:
-    """Validated undirected graph with sorted adjacency."""
+    """Validated undirected graph: n nodes and the lex-sorted edge rows."""
 
     n: int
     edges: np.ndarray            # (m, 2) int64, each row u < v, rows lex-sorted
-    neighbors: tuple             # per-node sorted int64 arrays
 
     @property
     def m(self) -> int:
@@ -36,10 +39,14 @@ class SimpleGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.neighbors], dtype=np.int64)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
-    def degree(self, j: int) -> int:
-        return len(self.neighbors[j])
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """Symmetric 0/1 adjacency in CSR form, column indices sorted per row."""
+        u, v = self.edges.T
+        return sp.csr_matrix((np.ones(2 * self.m), (np.r_[u, v], np.r_[v, u])),
+                             shape=(self.n, self.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,75 +88,82 @@ def reversal_permutation(m: int) -> np.ndarray:
 def from_edge_list(pairs, n: int) -> SimpleGraph:
     """Build a validated SimpleGraph from unordered node pairs.
 
-    Raises SelfLoopError, DuplicateEdgeError, or NodeOutOfRangeError on bad
-    input.  Edge order is normalized to u < v and rows are lex-sorted.
+    ``pairs`` is any (m, 2) array-like of integer node ids.  The first bad
+    pair in input order raises SelfLoopError or NodeOutOfRangeError (a
+    self-loop is reported before a range error); a repeated pair raises
+    DuplicateEdgeError; any other shape raises BadParameterError.  Edge order
+    is normalized to u < v and rows are lex-sorted.
     """
     if n < 0:
         raise NodeOutOfRangeError(f"node count must be nonnegative, got {n}")
-    normalized = []
-    for u, v in pairs:
-        u, v = int(u), int(v)
-        if u == v:
-            raise SelfLoopError(f"self-loop at node {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise NodeOutOfRangeError(f"edge ({u}, {v}) outside [0, {n})")
-        normalized.append((u, v) if u < v else (v, u))
-    normalized.sort()
-    for a, b in zip(normalized, normalized[1:]):
-        if a == b:
-            raise DuplicateEdgeError(f"duplicate edge {a}")
-    edges = np.array(normalized, dtype=np.int64).reshape(-1, 2)
-    adj = [[] for _ in range(n)]
-    for u, v in normalized:
-        adj[u].append(v)
-        adj[v].append(u)
-    neighbors = tuple(np.array(sorted(a), dtype=np.int64) for a in adj)
-    return SimpleGraph(n=n, edges=edges, neighbors=neighbors)
+    try:
+        pairs = np.asarray(pairs, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise BadParameterError(
+            "edges must be an (m, 2) array of integer node pairs") from exc
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise BadParameterError(
+            f"edges must be an (m, 2) array, got shape {pairs.shape}")
+    u, v = pairs.T
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if u[i] == v[i]:
+            raise SelfLoopError(f"self-loop at node {u[i]}")
+        raise NodeOutOfRangeError(f"edge ({u[i]}, {v[i]}) outside [0, {n})")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    edges = np.column_stack([lo, hi])[np.lexsort((hi, lo))]
+    dup = np.all(edges[1:] == edges[:-1], axis=1)
+    if dup.any():
+        a, b = edges[np.argmax(dup)]
+        raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
+    return SimpleGraph(n=n, edges=edges)
+
+
+def induced_subgraph(g: SimpleGraph, keep):
+    """The subgraph on the nodes ``keep`` selects: a mask or increasing ids.
+
+    Returns (sub, table) where table maps old node ids to new compact ids,
+    with -1 for dropped nodes.  Relabeling preserves node order, so the kept
+    rows stay u < v and lex-sorted and are not validated again.
+    """
+    kept = np.arange(g.n)[keep]
+    table = np.full(g.n, -1, dtype=np.int64)
+    table[kept] = np.arange(kept.size)
+    rows = table[g.edges]
+    return SimpleGraph(n=kept.size, edges=rows[np.all(rows >= 0, axis=1)]), table
 
 
 def two_core(g: SimpleGraph):
     """Iteratively delete degree <= 1 nodes until min degree >= 2 or empty.
 
-    Returns (core_graph, table) where table maps old node ids to new compact
-    ids, with -1 for deleted nodes.  Relabeling preserves node order.
+    Returns (core_graph, table) as :func:`induced_subgraph` does.
     """
-    deg = g.degrees.copy()
+    indptr, indices = g.adjacency.indptr, g.adjacency.indices
+    deg = g.degrees
     alive = np.ones(g.n, dtype=bool)
-    stack = [j for j in range(g.n) if deg[j] <= 1]
+    stack = list(np.nonzero(deg <= 1)[0])
     while stack:
         j = stack.pop()
         if not alive[j]:
             continue
         alive[j] = False
-        for u in g.neighbors[j]:
+        for u in indices[indptr[j]:indptr[j + 1]]:
             if alive[u]:
                 deg[u] -= 1
                 if deg[u] <= 1:
                     stack.append(u)
-    table = np.full(g.n, -1, dtype=np.int64)
-    table[alive] = np.arange(int(alive.sum()))
-    kept = [(table[u], table[v]) for u, v in g.edges if alive[u] and alive[v]]
-    return from_edge_list(kept, int(alive.sum())), table
+    return induced_subgraph(g, alive)
 
 
 def connected_components(g: SimpleGraph):
-    """Partition nodes into components, numbered by smallest contained node."""
-    seen = np.zeros(g.n, dtype=bool)
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp, stack = [s], [s]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(int(v))
-                    stack.append(int(v))
-        comps.append(np.array(sorted(comp), dtype=np.int64))
-    return comps
+    """Partition nodes into sorted int64 arrays, ordered by smallest node."""
+    count, labels = csgraph.connected_components(g.adjacency, directed=False)
+    nodes = np.argsort(labels, kind="stable")
+    comps = np.split(nodes, np.cumsum(np.bincount(labels, minlength=count)))
+    return sorted(comps[:-1], key=lambda comp: comp[0])
 
 
 def is_bipartite(g: SimpleGraph):
@@ -158,6 +172,7 @@ def is_bipartite(g: SimpleGraph):
     Returns (True, colors, None) with colors in {0, 1}, or
     (False, None, walk) where walk is a closed walk of odd length.
     """
+    indptr, indices = g.adjacency.indptr, g.adjacency.indices
     color = np.full(g.n, -1, dtype=np.int64)
     parent = np.full(g.n, -1, dtype=np.int64)
     for s in range(g.n):
@@ -165,9 +180,8 @@ def is_bipartite(g: SimpleGraph):
             continue
         color[s] = 0
         queue = [s]
-        while queue:
-            u = queue.pop(0)
-            for v in g.neighbors[u]:
+        for u in queue:                  # the queue grows while it is walked
+            for v in indices[indptr[u]:indptr[u + 1]]:
                 if color[v] < 0:
                     color[v] = 1 - color[u]
                     parent[v] = u

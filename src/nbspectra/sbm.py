@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameterError, EmptyCoreError
-from .graph import SimpleGraph, connected_components, from_edge_list, two_core
+from .graph import (SimpleGraph, connected_components, from_edge_list,
+                    induced_subgraph, two_core)
 
 
 @dataclass(frozen=True)
@@ -128,29 +129,21 @@ def sample(p: SbmParams) -> SbmSample:
     rng.shuffle(labels)
 
     a_n, b_n = p.a / p.n, p.b / p.n
-    pairs = []
+    rows = [np.empty((0, 2), dtype=np.int64)]
     for i in range(p.n - 1):
         rates = np.where(labels[i + 1:] == labels[i], a_n, b_n)
-        hits = np.nonzero(rng.random(p.n - 1 - i) < rates)[0]
-        for j in hits:
-            pairs.append((i, int(i + 1 + j)))
+        hits = i + 1 + np.nonzero(rng.random(p.n - 1 - i) < rates)[0]
+        rows.append(np.column_stack([np.full(hits.size, i), hits]))
 
-    g = from_edge_list(pairs, p.n)
-    core, table = two_core(g)
+    core, table = two_core(from_edge_list(np.concatenate(rows), p.n))
     if core.n == 0:
         raise EmptyCoreError("the 2-core of the sample is empty")
     labels_core = labels[table >= 0]
 
     comps = connected_components(core)
     giant = max(comps, key=lambda comp: (len(comp), -comp[0]))
-    keep = np.zeros(core.n, dtype=bool)
-    keep[giant] = True
-    table2 = np.full(core.n, -1, dtype=np.int64)
-    table2[keep] = np.arange(int(keep.sum()))
-    kept_edges = [(table2[u], table2[v]) for u, v in core.edges
-                  if keep[u] and keep[v]]
-    graph = from_edge_list(kept_edges, int(keep.sum()))
-    labels_final = labels_core[keep]
+    graph, _ = induced_subgraph(core, giant)
+    labels_final = labels_core[giant]
 
     expected = expected_quantities(p)
     deg = graph.degrees

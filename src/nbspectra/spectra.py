@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from . import nbmat
 from .errors import (
@@ -26,8 +25,7 @@ from .errors import (
     NoConvergenceError,
     NotEnoughPositiveRealsError,
 )
-# connected_components stays bound here: perfbench's binding test wraps it
-from .graph import OrientedEdgeIndex, connected_components  # noqa: F401
+from .graph import OrientedEdgeIndex, SimpleGraph, connected_components
 
 DENSE_CAP = 6000
 AUTO_DENSE_CAP = 2000     # bound and pipeline solve dense up to this 2m
@@ -486,9 +484,7 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
         raise BadParameterError(f"k must be positive, got {k}")
     if idx.n == 0 or idx.degrees.min() < 2:
         raise BadParameterError("graph must be a 2-core (min degree >= 2)")
-    adj = sp.csr_matrix((np.ones(2 * idx.m), (idx.start, idx.end)),
-                        shape=(idx.n, idx.n))
-    if _csgraph_components(adj, directed=False)[0] != 1:
+    if len(connected_components(SimpleGraph(n=idx.n, edges=idx.edges))) != 1:
         raise BadParameterError("graph must be connected")
     if np.all(idx.degrees == 2):
         raise BadParameterError("graph must not be a cycle")

@@ -3,6 +3,7 @@ import pytest
 
 import nbspectra as nb
 from nbspectra.errors import (
+    BadParameterError,
     DuplicateEdgeError,
     LengthMismatchError,
     NodeOutOfRangeError,
@@ -41,6 +42,28 @@ def test_from_edge_list_rejects_out_of_range():
         nb.from_edge_list([(0, 5)], 3)
 
 
+def test_from_edge_list_contract():
+    pairs = [(2, 0), (1, 0), (1, 2)]
+    g = nb.from_edge_list(np.array(pairs), 3)
+    assert g.edges.dtype == np.int64
+    assert np.array_equal(g.edges, nb.from_edge_list(pairs, 3).edges)
+    with pytest.raises(BadParameterError):
+        nb.from_edge_list(np.array([[0, 1, 2], [1, 2, 0]]), 3)
+    with pytest.raises(BadParameterError):
+        nb.from_edge_list([(0, 1), (1, 2, 0)], 3)
+    # the first bad pair in input order is reported, a self-loop before
+    # a range error
+    with pytest.raises(SelfLoopError, match=r"^self-loop at node 2$"):
+        nb.from_edge_list([(0, 1), (2, 2), (0, 9)], 3)
+    with pytest.raises(NodeOutOfRangeError,
+                       match=r"^edge \(0, 9\) outside \[0, 3\)$"):
+        nb.from_edge_list([(0, 9), (2, 2)], 3)
+    with pytest.raises(SelfLoopError, match=r"^self-loop at node 5$"):
+        nb.from_edge_list([(5, 5)], 3)
+    with pytest.raises(DuplicateEdgeError, match=r"^duplicate edge \(0, 1\)$"):
+        nb.from_edge_list([(1, 2), (1, 0), (0, 1)], 3)
+
+
 def test_degree_sum_is_2m():
     for seed in range(10):
         g = random_two_core(seed)
@@ -61,10 +84,12 @@ def test_two_core_path_empty():
 
 
 def test_two_core_triangle_plus_pendant():
-    g = nb.from_edge_list([(0, 1), (0, 2), (1, 2), (2, 3)], 4)
-    core, table = nb.two_core(g)
-    assert core.n == 3 and core.m == 3
-    assert list(table) == [0, 1, 2, -1]
+    for length in (1, 20000):
+        path = [(i, i + 1) for i in range(2, length + 2)]
+        g = nb.from_edge_list([(0, 1), (0, 2), (1, 2)] + path, length + 3)
+        core, table = nb.two_core(g)
+        assert core.n == 3 and core.m == 3
+        assert list(table) == [0, 1, 2] + [-1] * length
 
 
 def test_two_core_idempotent():

@@ -1,18 +1,27 @@
-"""Property tests of the exact identities (acceptance criteria 1 and 5).
+"""Property tests of the exact identities (acceptance criteria 1 and 5)
+and of the graph front end.
 
 Graphs are drawn at random and reduced to their 2-core.  The examples are
 derandomized so the suite is reproducible; the identities are checked bit
 for bit except the start/end-sum relation, which involves computed
-eigenvectors.
+eigenvectors.  The front end (edge validation, 2-core, components,
+bipartiteness) is checked against a per-pair loop and against networkx on
+raw graphs with pendant trees and several components.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nbspectra as nb
 from nbspectra import nbmat
+from nbspectra.errors import (
+    DuplicateEdgeError,
+    NodeOutOfRangeError,
+    SelfLoopError,
+)
 
 from test_nbmat import bit_equal
 
@@ -78,3 +87,113 @@ def test_start_sums_equal_lambda_end_sums(g):
         z = np.real(V[:, i])
         ss, es = nb.node_sums(z, idx)
         assert np.max(np.abs(ss - lam.real * es)) <= 1e-8 * np.linalg.norm(z)
+
+
+@st.composite
+def raw_graphs(draw, n_max=20):
+    """A random forest plus a few chords, edges given in random order.
+
+    The forest gives pendant trees, isolated nodes and several components;
+    the chords close cycles, some of them odd.
+    """
+    n = draw(st.integers(1, n_max))
+    edges = set()
+    for i in range(1, n):
+        j = draw(st.integers(-1, i - 1))        # -1 starts a new tree
+        if j >= 0:
+            edges.add((j, i))
+    node = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(node, node), max_size=n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return nb.from_edge_list(draw(st.permutations(sorted(edges))), n)
+
+
+def networkx_graph(g):
+    """``g`` as a networkx Graph; skips the test when networkx is missing."""
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges.tolist())
+    return nx, G
+
+
+def loop_from_edge_list(pairs, n):
+    """Per-pair reference for from_edge_list: sorted edges, or the error."""
+    normalized = []
+    for u, v in pairs:
+        if u == v:
+            return SelfLoopError, f"self-loop at node {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return NodeOutOfRangeError, f"edge ({u}, {v}) outside [0, {n})"
+        normalized.append((min(u, v), max(u, v)))
+    normalized.sort()
+    for a, b in zip(normalized, normalized[1:]):
+        if a == b:
+            return DuplicateEdgeError, f"duplicate edge {a}"
+    return normalized
+
+
+@st.composite
+def pair_lists(draw):
+    """n and node pairs in range, some repeated, with up to two bad pairs."""
+    n = draw(st.integers(2, 6))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          max_size=8))
+    bad = st.tuples(st.integers(-1, n), st.integers(-1, n))
+    for pair in draw(st.lists(bad, max_size=2)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return n, pairs
+
+
+@PROPERTY_SETTINGS
+@given(pair_lists())
+def test_from_edge_list_matches_the_per_pair_loop(case):
+    n, pairs = case
+    expected = loop_from_edge_list(pairs, n)
+    if isinstance(expected, list):
+        assert nb.from_edge_list(pairs, n).edges.tolist() == \
+            [list(e) for e in expected]
+    else:
+        error, message = expected
+        with pytest.raises(error) as info:
+            nb.from_edge_list(pairs, n)
+        assert str(info.value) == message
+
+
+@PROPERTY_SETTINGS
+@given(raw_graphs())
+def test_two_core_matches_networkx(g):
+    nx, G = networkx_graph(g)
+    core, table = nb.two_core(g)
+    kept = np.nonzero(table >= 0)[0]
+    K = nx.k_core(G, 2)
+    assert kept.tolist() == sorted(K.nodes)
+    assert table[kept].tolist() == list(range(core.n))   # order-preserving
+    relabeled = sorted(tuple(sorted((table[u], table[v]))) for u, v in K.edges)
+    assert core.edges.tolist() == [list(e) for e in relabeled]
+
+
+@PROPERTY_SETTINGS
+@given(raw_graphs())
+def test_connected_components_match_networkx(g):
+    nx, G = networkx_graph(g)
+    comps = nb.connected_components(g)
+    assert all(comp.dtype == np.int64 for comp in comps)
+    expected = sorted(sorted(c) for c in nx.connected_components(G))
+    assert [comp.tolist() for comp in comps] == expected
+
+
+@PROPERTY_SETTINGS
+@given(raw_graphs())
+def test_is_bipartite_matches_networkx(g):
+    nx, G = networkx_graph(g)
+    ok, colors, walk = nb.is_bipartite(g)
+    assert ok == nx.is_bipartite(G)
+    if ok:
+        assert set(colors.tolist()) <= {0, 1}
+        assert np.all(colors[g.edges[:, 0]] != colors[g.edges[:, 1]])
+    else:
+        assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
+        assert all(G.has_edge(a, b) for a, b in zip(walk, walk[1:]))

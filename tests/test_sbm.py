@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nbspectra as nb
+from nbspectra import graph, sbm
 from nbspectra.errors import BadParameterError, EmptyCoreError
 
 
@@ -89,3 +90,16 @@ def test_two_core_applied():
     s = nb.sample(nb.SbmParams(n=300, k=2, a=16.0, b=4.0, seed=4))
     assert s.graph.degrees.min() >= 2
     assert len(nb.connected_components(s.graph)) == 1
+
+
+def test_sample_validates_edges_once(monkeypatch):
+    calls, real = [], graph.from_edge_list
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "from_edge_list", counting)
+    monkeypatch.setattr(sbm, "from_edge_list", counting)
+    nb.sample(nb.SbmParams(n=300, k=2, a=16.0, b=4.0))
+    assert len(calls) == 1
