@@ -82,9 +82,11 @@ def build_D_col(idx: OrientedEdgeIndex) -> np.ndarray:
 def build_T(idx: OrientedEdgeIndex) -> sp.csr_matrix:
     """Transition matrix T = D_row^{-1} B of the non-backtracking walk.
 
-    Requires min degree >= 2; rows and columns each sum to 1.
+    Requires a node and min degree >= 2; rows and columns each sum to 1.
     """
-    if idx.n > 0 and idx.degrees.min() < 2:
+    if idx.n == 0:
+        raise DegreeTooSmallError("graph has no nodes; transition matrix undefined")
+    if idx.degrees.min() < 2:
         raise DegreeTooSmallError(
             f"min degree {int(idx.degrees.min())} < 2; transition matrix undefined")
     B = build_B(idx)

@@ -88,6 +88,19 @@ def multiset_match_distance(xs, ys):
     return float(cost[rows, cols].max())
 
 
+def assert_ritz_contract(M, res):
+    """The pairs of a LeadingEigenResult: unit vectors whose reported
+    residuals are ||M v - theta v||, to 1e-10 relative above rounding of
+    ||M||."""
+    V = res.vectors
+    assert V.shape == (M.shape[0], len(res.values))
+    assert len(res.residuals) == len(res.values)
+    assert np.linalg.norm(V, axis=0) == pytest.approx(1.0, abs=1e-12)
+    fresh = np.linalg.norm(M @ V - V * res.values, axis=0)
+    assert res.residuals == pytest.approx(
+        fresh, rel=1e-10, abs=1e-14 * nb.spectral_norm(M))
+
+
 @pytest.fixture
 def named_graphs():
     return {"K4": k4(), "K23": k23(), "K33": k33(), "Petersen": petersen()}

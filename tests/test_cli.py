@@ -131,6 +131,17 @@ def test_verify_corrupt_file_exit_3(tmp_path):
     assert main(["verify", "--graph", str(tmp_path / "missing.tsv")]) == 3
 
 
+def test_verify_graph_without_nodes_exit_2(tmp_path, capsys):
+    # exit 1 means a check failed; a graph with no nodes has no T to check
+    path = tmp_path / "g0.tsv"
+    fileio.write_text_atomic(str(path),
+                             fileio.graph_to_text(nb.from_edge_list([], 0)))
+    assert read_bytes(path).startswith(b"# n=0")
+    for suites in ([], ["--suites", "stochastic"], ["--suites", "bipartite"]):
+        assert main(["verify", "--graph", str(path)] + suites) == 2
+        assert "graph has no nodes" in capsys.readouterr().err
+
+
 def test_verify_svd_dimension_cap_exit_2(tmp_path, monkeypatch):
     # K4 has 2m = 12; the svd suite must refuse to densify B above the cap
     monkeypatch.setattr(spectra, "DENSE_CAP", 11)

@@ -6,10 +6,11 @@ from nbspectra import cluster, fileio, spectra
 from nbspectra.errors import (
     BadParameterError,
     DegenerateInputError,
+    InsufficientRealRitzError,
     LengthMismatchError,
 )
 
-from conftest import k4, petersen
+from conftest import assert_ritz_contract, k4, petersen
 
 
 def _k4_basis():
@@ -184,10 +185,25 @@ def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):
         calls.append(args[1])
         return solve(*args, **kwargs)
 
+    stops = []
+    leading = spectra.leading_real_eigenpairs
+
+    def caught(M, *args, **kwargs):
+        try:
+            return leading(M, *args, **kwargs)
+        except InsufficientRealRitzError as exc:
+            stops.append((M, kwargs.get("inner"), exc))
+            raise
+
     monkeypatch.setattr(spectra, "real_eigenbasis_T", counted)
+    monkeypatch.setattr(spectra, "leading_real_eigenpairs", caught)
     p = nb.SbmParams(n=300, k=2, a=11.0, b=9.0, seed=0)
     assert 2 * nb.sample(p).graph.m > spectra.AUTO_DENSE_CAP
     rep = nb.pipeline(p, 2, seed=0)
     assert calls == [2]
     assert rep["fallback"] is True
     assert rep["lambda"] == [1.0]
+    # the T solve under the D_row metric stopped at the bulk disk
+    [(T, inner, exc)] = stops
+    assert inner is not None and "bulk disk" in str(exc)
+    assert_ritz_contract(T, exc.found)

@@ -6,7 +6,9 @@ derandomized so the suite is reproducible; the identities are checked bit
 for bit except the start/end-sum relation, which involves computed
 eigenvectors.  The front end (edge validation, 2-core, components,
 bipartiteness) is checked against a per-pair loop and against networkx on
-raw graphs with pendant trees and several components.
+raw graphs with pendant trees and several components.  The iterative T
+eigenbasis is checked against the dense spectrum on block-model samples on
+both sides of the detection threshold.
 """
 
 import numpy as np
@@ -16,10 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nbspectra as nb
-from nbspectra import nbmat
+from nbspectra import nbmat, spectra
 from nbspectra.errors import (
     DuplicateEdgeError,
     NodeOutOfRangeError,
+    NotEnoughPositiveRealsError,
     SelfLoopError,
 )
 
@@ -197,3 +200,28 @@ def test_is_bipartite_matches_networkx(g):
     else:
         assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
         assert all(G.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+
+
+# (k, a, b): two regimes above the detection threshold (16/4, 24/3), two
+# below it (13/7, 11/9); at n of about 100 the average degree is about 10
+@pytest.mark.parametrize("k, a, b", [(2, 16.0, 4.0), (3, 24.0, 3.0),
+                                     (2, 13.0, 7.0), (2, 11.0, 9.0)])
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(n=st.integers(80, 120), seed=st.integers(0, 2 ** 32 - 1))
+def test_iterative_T_basis_finds_the_dense_structural_reals(k, a, b, n, seed):
+    idx = nb.oriented_edges(nb.sample(nb.SbmParams(n=n, k=k, a=a, b=b,
+                                                   seed=seed)).graph)
+    assume(spectra.SMALL_DIM < 2 * idx.m <= 1300)
+    c = 2.0 * idx.m / idx.n
+    edge = 1.0 / np.sqrt(c - 1.0)
+    spec, _ = nb.dense_eigendecomposition(nb.build_T(idx), source="T")
+    reals = spec.real_values()
+    assume(np.all(np.abs(reals - edge) > 2 * spectra.BULK_MARGIN * edge))
+    structural = nb.classify_spectrum(spec, c).structural()
+    expected = np.sort(structural[structural > 0])[::-1][:3]
+    try:
+        values = nb.real_eigenbasis_T(idx, 3, mode="iterative", seed=0).values
+    except NotEnoughPositiveRealsError as exc:
+        values = exc.basis.values
+    assert len(values) == len(expected)
+    assert values == pytest.approx(expected, abs=1e-6)

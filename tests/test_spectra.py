@@ -17,6 +17,7 @@ from nbspectra.errors import (
 )
 
 from conftest import (
+    assert_ritz_contract,
     ihara_bass_eigenvalues,
     k4,
     k23,
@@ -155,8 +156,10 @@ def test_classify_bad_parameters():
 
 
 def test_leading_diag():
-    res = nb.leading_real_eigenpairs(np.diag([3.0, 2.0, 1.0]), 2)
+    M = np.diag([3.0, 2.0, 1.0])
+    res = nb.leading_real_eigenpairs(M, 2)
     assert np.allclose(res.values, [3.0, 2.0], atol=1e-10)
+    assert_ritz_contract(M, res)
 
 
 def test_leading_k4_matches_dense():
@@ -199,19 +202,23 @@ def test_leading_stops_once_kth_ritz_value_is_in_bulk():
     found = info.value.found
     assert found.values.tolist() == [1.0]
     assert found.iterations <= _bulk_window(M.shape[0]) + spectra.STABLE_WINDOW
+    assert_ritz_contract(M, found)
 
 
 def test_leading_bulk_radius_keeps_an_eigenvalue_outside_the_disk():
     M = _bulk_operator(0.3, extra=(1.2 * 0.3,))
     res = nb.leading_real_eigenpairs(M, 2, bulk_radius=0.3)
     assert res.values == pytest.approx([1.0, 0.36], abs=1e-10)
+    assert_ritz_contract(M, res)
 
 
 def test_leading_without_bulk_radius_spends_the_same_sweeps():
     # sweep counts of the block iteration before the early stop existed
+    M = _bulk_operator(0.3)
     with pytest.raises(InsufficientRealRitzError) as info:
-        nb.leading_real_eigenpairs(_bulk_operator(0.3), 2)
+        nb.leading_real_eigenpairs(M, 2)
     assert info.value.found.iterations == 800
+    assert_ritz_contract(M, info.value.found)
     M = _bulk_operator(0.3, extra=(1.2 * 0.3,))
     assert nb.leading_real_eigenpairs(M, 2).iterations == 77
 
@@ -226,6 +233,7 @@ def test_leading_matches_dense_on_sbm():
     dense_reals = np.sort(spec.real_values())[::-1][:2]
     assert np.max(np.abs(res.values - dense_reals)) <= 1e-8
     assert res.iterations == 32          # as before the bulk-disk early stop
+    assert_ritz_contract(T, res)
 
 
 def test_real_eigenbasis_k4_frozen_values():
