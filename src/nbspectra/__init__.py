@@ -19,7 +19,6 @@ from .nbmat import (
     build_L,
     build_Start,
     build_T,
-    frobenius_norm,
     spectral_norm,
     transpose,
 )

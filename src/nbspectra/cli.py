@@ -1,7 +1,8 @@
 """Command-line surface: gen, spectrum, verify, bound, cluster, pipeline.
 
 Exit codes: 0 success, 2 parameter or domain error, 3 I/O or parse error,
-4 numerical non-convergence.  All randomness flows from one resolved seed
+4 numerical non-convergence; each package error carries its code as
+``exit_code``.  All randomness flows from one resolved seed
 (--seed flag, else the NBSPECTRA_SEED environment variable, else 0), and
 outputs are byte-deterministic for fixed inputs and seed.
 """
@@ -15,39 +16,8 @@ import sys
 import numpy as np
 
 from . import cluster, fileio, nbmat, perturb, sbm, spectra, verify
-from .errors import (
-    BadParameterError,
-    CountMismatchError,
-    DegenerateBilinearFormError,
-    DegenerateInputError,
-    DegreeTooSmallError,
-    DimensionCapError,
-    DuplicateEdgeError,
-    EmptyCoreError,
-    GraphFormatError,
-    InsufficientRealRitzError,
-    IsolatedNodeError,
-    LengthMismatchError,
-    NbspectraError,
-    NoConvergenceError,
-    NodeOutOfRangeError,
-    NotEnoughPositiveRealsError,
-    RankDeficientError,
-    SelfLoopError,
-    ShapeMismatchError,
-)
+from .errors import BadParameterError, CountMismatchError, NbspectraError
 from .graph import oriented_edges, reversal_permutation, two_core
-
-_PARAM_ERRORS = (
-    BadParameterError, DegreeTooSmallError, SelfLoopError, DuplicateEdgeError,
-    NodeOutOfRangeError, EmptyCoreError, DimensionCapError,
-    CountMismatchError, DegenerateInputError, LengthMismatchError,
-    ShapeMismatchError, RankDeficientError, IsolatedNodeError,
-)
-_NUMERIC_ERRORS = (
-    NoConvergenceError, InsufficientRealRitzError,
-    NotEnoughPositiveRealsError, DegenerateBilinearFormError,
-)
 
 
 def _resolve_seed(value) -> int:
@@ -255,18 +225,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _PARAM_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except NbspectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

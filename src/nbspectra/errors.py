@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by all nbspectra modules."""
+"""Exception hierarchy shared by all nbspectra modules.
+
+Each class carries the CLI exit code it maps to: 2 for a parameter or
+domain error, 3 for a parse error, 4 for numerical non-convergence.
+"""
 
 
 class NbspectraError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 # graph construction / validation
@@ -22,6 +28,8 @@ class NodeOutOfRangeError(NbspectraError):
 class GraphFormatError(NbspectraError):
     """An edge-list or labels file could not be parsed."""
 
+    exit_code = 3
+
 
 # operator construction / linear algebra
 
@@ -40,17 +48,22 @@ class DegreeTooSmallError(NbspectraError):
 class NoConvergenceError(NbspectraError):
     """An iterative routine hit its iteration cap before converging."""
 
+    exit_code = 4
+
 
 class DimensionCapError(NbspectraError):
     """The matrix exceeds the configured dense-decomposition cap."""
 
 
 class InsufficientRealRitzError(NbspectraError):
-    """Fewer real Ritz values stabilized than were requested.
+    """Fewer real Ritz values stabilized than were requested, or the last
+    one stabilized below the modulus floor of the block.
 
     The partial result (values found so far and their vectors) is attached
     as the ``found`` attribute when available.
     """
+
+    exit_code = 4
 
     def __init__(self, message, found=None):
         super().__init__(message)
@@ -64,6 +77,8 @@ class NotEnoughPositiveRealsError(NbspectraError):
     assembled from them is attached as the ``basis`` attribute.
     """
 
+    exit_code = 4
+
     def __init__(self, message, basis=None):
         super().__init__(message)
         self.basis = basis
@@ -71,6 +86,8 @@ class NotEnoughPositiveRealsError(NbspectraError):
 
 class DegenerateBilinearFormError(NbspectraError):
     """The reversal pairing is singular and the transpose fallback failed."""
+
+    exit_code = 4
 
 
 class RankDeficientError(NbspectraError):

@@ -29,23 +29,14 @@ from .graph import OrientedEdgeIndex, reversal_permutation
 def build_B(idx: OrientedEdgeIndex) -> sp.csr_matrix:
     """2m x 2m 0/1 matrix: entry (e, f) = 1 iff e feeds into f and f != e^-1.
 
-    Entry count is sum_j d_j^2 - 2m.
+    Built as End Start^T - V: End Start^T links e to every f leaving the
+    endpoint of e, and V removes the backtrack f = e^-1.  Entry count is
+    sum_j d_j^2 - 2m.
     """
-    m, n2 = idx.m, 2 * idx.m
-    if m == 0:
-        return sp.csr_matrix((0, 0))
-    order = np.argsort(idx.start, kind="stable")      # oriented edges by startpoint
-    ptr = np.searchsorted(idx.start[order], np.arange(idx.n + 1))
-    counts = idx.degrees[idx.end]                     # successors incl. the backtrack
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    total = int(offsets[-1])
-    pos = np.arange(total) - np.repeat(offsets[:-1], counts) \
-        + np.repeat(ptr[idx.end], counts)
-    rows = np.repeat(np.arange(n2), counts)
-    cols = order[pos]
-    keep = cols != (rows + m) % n2                    # drop the backtrack transition
-    B = sp.csr_matrix(
-        (np.ones(int(keep.sum())), (rows[keep], cols[keep])), shape=(n2, n2))
+    n2 = 2 * idx.m
+    V = sp.csr_matrix((np.ones(n2), reversal_permutation(idx.m), np.arange(n2 + 1)),
+                      shape=(n2, n2))
+    B = (build_End(idx) @ build_Start(idx).T - V).tocsr()
     B.sort_indices()
     return B
 
@@ -125,10 +116,15 @@ def transpose(M: sp.spmatrix) -> sp.csr_matrix:
     return out
 
 
-def frobenius_norm(M) -> float:
-    if sp.issparse(M):
-        return float(np.sqrt((M.data ** 2).sum()))
-    return float(np.linalg.norm(np.asarray(M)))
+def norm_bound(M) -> float:
+    """sqrt(||M||_1 ||M||_inf), an upper bound on the spectral norm ||M||_2.
+
+    ``M`` is a nonempty scipy sparse matrix or dense array.  The bound is
+    exact for T, whose row and column sums are all 1, and for B and BV, whose
+    largest row and column sums and largest singular value are all d_max - 1.
+    """
+    A = abs(M)
+    return float(np.sqrt(A.sum(axis=0).max() * A.sum(axis=1).max()))
 
 
 def spectral_norm(M, seed: int = 0) -> float:

@@ -94,7 +94,9 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
     real eigenvalues and orthonormal vectors.  Eigenvectors of real
     eigenvalues are returned with all-real coordinates.  Raises
     DimensionCapError above ``cap``, before densifying, and NoConvergenceError
-    if the QR iteration fails or a residual exceeds 1e-8 * ||M||.
+    if the QR iteration fails or a residual exceeds 1e-8 times the scale
+    sqrt(||M||_1 ||M||_inf) of :func:`nbmat.norm_bound`, which is ||M||_2
+    for T, B and BV.
     """
     if not sp.issparse(M):
         M = np.asarray(M, dtype=np.float64)
@@ -143,7 +145,7 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
             nrm = np.linalg.norm(colr)
             if nrm > 0:
                 V[:, i] = colr / nrm
-        norm_a = nbmat.spectral_norm(A)
+        norm_a = nbmat.norm_bound(A)
         resid = np.linalg.norm(A @ V - V * w[None, :], axis=0)
         backward = float(resid.max() / max(norm_a, 1e-300))
         if backward > 1e-8:
@@ -254,7 +256,9 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     and their vectors v = Q s / ||Q s|| are extracted as one block, with the
     residual ||M v - theta v|| taken per column.  The rules below are module
     constants.  A Ritz value is retained when its imaginary part is at most
-    TAU_IM * (1 + |value|) and its residual at most RESIDUAL_RTOL * ||M||;
+    TAU_IM * (1 + |value|) and its residual at most RESIDUAL_RTOL times the
+    scale sqrt(||M||_1 ||M||_inf) of :func:`nbmat.norm_bound` (so ``M`` needs
+    explicit entries; the scale is ||M||_2 for T, B and BV);
     convergence requires the k leading retained values to be stable to
     VALUE_RTOL over STABLE_WINDOW consecutive sweeps and to sit above the
     modulus floor of the converged block (so no larger real eigenvalue can
@@ -268,17 +272,20 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     ``bulk_radius`` is the radius of the disk that holds all but the
     structural eigenvalues.  Given it, k >= 2 and a dimension above
     SMALL_DIM, the solve stops early once the k - 1 leading candidates pass
-    the tests above and the k-th largest Ritz modulus has stayed at or below
-    (1 + BULK_MARGIN) * bulk_radius for ceil(ln sqrt(dim) / ln(1 +
-    BULK_MARGIN)) consecutive sweeps: an eigenvalue beyond that margin gains
-    at least that factor per sweep on the bulk, so by then it would have
-    outgrown its 1/sqrt(dim) share of the random start.  Smaller operators
+    the tests above and the k-th largest modulus among the Ritz values with
+    positive real part has stayed at or below (1 + BULK_MARGIN) *
+    bulk_radius for ceil(ln sqrt(dim) / ln(1 + BULK_MARGIN)) consecutive
+    sweeps: an eigenvalue beyond that margin gains at least that factor per
+    sweep on the bulk, so by then it would have outgrown its 1/sqrt(dim)
+    share of the random start.  Values with nonpositive real part do not
+    count, because the caller keeps only positive reals.  Smaller operators
     ignore the radius, because their block grows to the exact full
     projection, which also finds real values inside the disk.
 
     Raises InsufficientRealRitzError (with partial result attached) when
-    fewer than k real values stabilize, or on the early stop (with the k - 1
-    leading pairs), and NoConvergenceError when none do.
+    fewer than k real values stabilize, when the k-th stabilizes below the
+    modulus floor, or on the early stop (with the k - 1 leading pairs), and
+    NoConvergenceError when none do.
     """
     nn = M.shape[0]
     if M.shape[0] != M.shape[1]:
@@ -286,11 +293,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     if not (1 <= k <= nn):
         raise BadParameterError(f"k={k} outside [1, {nn}]")
     d = None if inner is None else np.asarray(inner, dtype=np.float64)
-    try:
-        norm_m = nbmat.spectral_norm(M, seed=seed)
-    except NoConvergenceError:
-        norm_m = nbmat.frobenius_norm(M)
-    norm_m = max(norm_m, 1e-300)
+    norm_m = max(nbmat.norm_bound(M), 1e-300)
     early = bulk_radius is not None and k >= 2 and nn > SMALL_DIM
     if early:
         bulk_edge = (1.0 + BULK_MARGIN) * bulk_radius
@@ -305,7 +308,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     best = None     # retained pairs of the sweep that retained the most
     while True:
         history = deque(maxlen=STABLE_WINDOW)
-        inside = 0    # consecutive sweeps with the k-th Ritz modulus in the disk
+        inside = 0    # consecutive sweeps with the k-th positive Ritz in the disk
         budget = min(ROUND_SWEEPS, max_iter - total_it)
         for _ in range(budget):
             total_it += 1
@@ -333,7 +336,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                 if vals[k - 1] >= floor - max(1e-8, 1e-6 * abs(floor)):
                     return _pairs(cand, slice(k))
             if early:
-                kth = np.sort(np.abs(theta))[-k]
+                kth = np.sort(np.where(theta.real > 0, np.abs(theta), 0.0))[-k]
                 inside = inside + 1 if kth <= bulk_edge else 0
                 if inside >= bulk_window and _leading_stable(history, ok, k - 1):
                     raise InsufficientRealRitzError(
@@ -348,9 +351,17 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                 raise NoConvergenceError(
                     f"no real Ritz value stabilized after {total_it} sweeps")
             best.iterations, best.block_size = total_it, p
+            j = next((j for j in range(k, 0, -1)
+                      if _leading_stable(history, ok, j)), 0)
+            if j == k:      # stable, so the floor test failed
+                raise InsufficientRealRitzError(
+                    f"real Ritz value {k} ({vals[k - 1]:.6g}) stabilized below "
+                    f"the modulus floor {floor:.6g} of the block after "
+                    f"{total_it} sweeps: a larger real eigenvalue may hide "
+                    f"beneath it", found=best)
             raise InsufficientRealRitzError(
-                f"only {len(best.values)} real Ritz value(s) stabilized, "
-                f"wanted {k}: no spectral separation", found=best)
+                f"only {j} real Ritz value(s) stabilized, wanted {k}: "
+                f"no spectral separation", found=best)
         extra = rng.standard_normal((nn, p_new - p))
         Q = _metric_orthonormalize(np.column_stack([Q, extra]), d)
         p = p_new

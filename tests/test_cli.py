@@ -3,7 +3,7 @@ import json
 import pytest
 
 import nbspectra as nb
-from nbspectra import fileio, spectra, verify
+from nbspectra import cli, errors, fileio, spectra, verify
 from nbspectra.cli import main
 from nbspectra.errors import DimensionCapError
 
@@ -149,6 +149,26 @@ def test_verify_svd_dimension_cap_exit_2(tmp_path, monkeypatch):
         verify.run_suites(k4(), ["svd"])
     graph = write_k4(tmp_path)
     assert main(["verify", "--graph", graph, "--suites", "svd"]) == 2
+
+
+# the exit codes of the package errors, as the CLI has always mapped them
+PARSE_ERRORS = {"GraphFormatError"}
+NUMERIC_ERRORS = {"NoConvergenceError", "InsufficientRealRitzError",
+                  "NotEnoughPositiveRealsError", "DegenerateBilinearFormError"}
+PACKAGE_ERRORS = [c for c in vars(errors).values()
+                  if isinstance(c, type) and issubclass(c, errors.NbspectraError)]
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda c: c.__name__)
+def test_package_error_exit_codes(error, monkeypatch, capsys):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    expected = (3 if error.__name__ in PARSE_ERRORS
+                else 4 if error.__name__ in NUMERIC_ERRORS else 2)
+    assert main(["verify", "--graph", "unused.tsv"]) == expected
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_bound_k4(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nbspectra as nb
-from nbspectra import cluster, fileio, spectra
+from nbspectra import cluster, fileio, nbmat, spectra
 from nbspectra.errors import (
     BadParameterError,
     DegenerateInputError,
@@ -195,12 +195,23 @@ def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):
             stops.append((M, kwargs.get("inner"), exc))
             raise
 
+    norms = []
+    spectral_norm = nbmat.spectral_norm
+
+    def norm_counted(*args, **kwargs):
+        norms.append(args[0])
+        return spectral_norm(*args, **kwargs)
+
     monkeypatch.setattr(spectra, "real_eigenbasis_T", counted)
     monkeypatch.setattr(spectra, "leading_real_eigenpairs", caught)
+    monkeypatch.setattr(nbmat, "spectral_norm", norm_counted)
     p = nb.SbmParams(n=300, k=2, a=11.0, b=9.0, seed=0)
     assert 2 * nb.sample(p).graph.m > spectra.AUTO_DENSE_CAP
     rep = nb.pipeline(p, 2, seed=0)
     assert calls == [2]
+    # Lanczos runs only for the Bauer-Fike difference; the T and B solves
+    # take their residual scale from the entries
+    assert len(norms) == 1
     assert rep["fallback"] is True
     assert rep["lambda"] == [1.0]
     # the T solve under the D_row metric stopped at the bulk disk

@@ -156,11 +156,6 @@ def test_transpose_involution_bit_exact():
     assert bit_equal(nbmat.transpose(nbmat.transpose(B)), B)
 
 
-def test_frobenius_norm():
-    B = nb.build_B(nb.oriented_edges(k4()))
-    assert nbmat.frobenius_norm(B) == pytest.approx(np.sqrt(24.0))
-
-
 def test_spectral_norm_k4_is_two():
     B = nb.build_B(nb.oriented_edges(k4()))
     assert nbmat.spectral_norm(B) == pytest.approx(2.0, rel=1e-9)
@@ -173,6 +168,12 @@ def test_spectral_norm_matches_dense_svd():
         for M in (nb.build_B(idx), nb.build_T(idx)):
             dense = np.linalg.svd(M.toarray(), compute_uv=False)[0]
             assert nbmat.spectral_norm(M) == pytest.approx(dense, rel=1e-12)
+            # the residual scale of the solvers is exact for B and T
+            assert nbmat.norm_bound(M) == pytest.approx(dense, rel=1e-12)
+            assert nbmat.norm_bound(M.toarray()) == nbmat.norm_bound(M)
+        L = nb.build_L(idx)
+        dense = np.linalg.svd(L.toarray(), compute_uv=False)[0]
+        assert nbmat.norm_bound(L) >= dense
 
 
 def test_spectral_norm_bauer_fike_difference():

@@ -50,11 +50,16 @@ def two_cores(draw, n_max=14):
 def test_operator_identities_bit_exact(g):
     idx = nb.oriented_edges(g)
     B = nb.build_B(idx)
+    # the definition, pair by pair: b_ef = 1 iff e feeds into f != e^-1
+    n2, reverse = 2 * idx.m, idx.reverse(np.arange(2 * idx.m))
+    rows, cols = zip(*[(e, f) for e in range(n2) for f in range(n2)
+                       if idx.end[e] == idx.start[f] and f != reverse[e]])
+    assert bit_equal(B, sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                                      shape=(n2, n2)))
     assert bit_equal(nbmat.transpose(B), nbmat.conjugate_by_V(B))
     End, Start = nb.build_End(idx), nb.build_Start(idx)
     gram = (End @ End.T - sp.eye(2 * idx.m, format="csr")).tocsr()
     gram.eliminate_zeros()
-    reverse = idx.reverse(np.arange(2 * idx.m))
     assert bit_equal(B[:, reverse], gram)
     D = np.diag(g.degrees.astype(np.float64))
     assert np.array_equal((End.T @ End).toarray(), D)

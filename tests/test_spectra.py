@@ -195,14 +195,19 @@ def _bulk_window(dim):
 
 
 def test_leading_stops_once_kth_ritz_value_is_in_bulk():
-    M = _bulk_operator(0.3)
-    assert M.shape[0] >= 600
-    with pytest.raises(InsufficientRealRitzError, match="bulk disk") as info:
-        nb.leading_real_eigenpairs(M, 2, bulk_radius=0.3)
-    found = info.value.found
-    assert found.values.tolist() == [1.0]
-    assert found.iterations <= _bulk_window(M.shape[0]) + spectra.STABLE_WINDOW
-    assert_ritz_contract(M, found)
+    # only positive reals are wanted, so a negative value outside the disk
+    # must not hold off the stop
+    for extra in ((), (-1.2 * 0.3,)):
+        M = _bulk_operator(0.3, extra=extra)
+        assert M.shape[0] >= 600
+        with pytest.raises(InsufficientRealRitzError,
+                           match="bulk disk") as info:
+            nb.leading_real_eigenpairs(M, 2, bulk_radius=0.3)
+        found = info.value.found
+        assert found.values.tolist() == [1.0]
+        assert (found.iterations
+                <= _bulk_window(M.shape[0]) + spectra.STABLE_WINDOW)
+        assert_ritz_contract(M, found)
 
 
 def test_leading_bulk_radius_keeps_an_eigenvalue_outside_the_disk():
@@ -215,8 +220,20 @@ def test_leading_bulk_radius_keeps_an_eigenvalue_outside_the_disk():
 def test_leading_without_bulk_radius_spends_the_same_sweeps():
     # sweep counts of the block iteration before the early stop existed
     M = _bulk_operator(0.3)
-    with pytest.raises(InsufficientRealRitzError) as info:
+    with pytest.raises(InsufficientRealRitzError,
+                       match="^only 1 real Ritz value") as info:
         nb.leading_real_eigenpairs(M, 2)
+    assert info.value.found.iterations == 800
+    assert_ritz_contract(M, info.value.found)
+    # -0.36 stabilizes but sits below the block's modulus floor, where a
+    # larger real value could hide: the message names that, not a shortfall
+    M = _bulk_operator(0.3, extra=(-1.2 * 0.3,))
+    with pytest.raises(InsufficientRealRitzError,
+                       match=r"^real Ritz value 2 \(-0\.36\) stabilized below "
+                             r"the modulus floor 0\.29\d* of the block after "
+                             r"800 sweeps") as info:
+        nb.leading_real_eigenpairs(M, 2)
+    assert info.value.found.values == pytest.approx([1.0, -0.36], abs=1e-10)
     assert info.value.found.iterations == 800
     assert_ritz_contract(M, info.value.found)
     M = _bulk_operator(0.3, extra=(1.2 * 0.3,))
