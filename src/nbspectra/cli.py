@@ -69,14 +69,19 @@ def cmd_spectrum(args) -> int:
     seed = _resolve_seed(args.seed)
     g = fileio.read_graph(args.graph)
     idx = oriented_edges(g)
-    M = _build_matrix(idx, args.matrix)
+    # the smallest reals of L = I - T are 1 - the largest reals of T, so the
+    # iterative mode solves T for them (the largest reals of L lie in the bulk)
+    on_T = args.mode == "iterative" and args.matrix == "L"
+    M = _build_matrix(idx, "T" if on_T else args.matrix)
     c = 2.0 * g.m / g.n if g.n else 0.0
     if args.mode == "dense":
         spec, _ = spectra.dense_eigendecomposition(M, source=args.matrix,
                                                    cap=args.dense_cap)
     else:
-        res = spectra.leading_real_eigenpairs(M, args.k, seed=seed)
-        spec = spectra.Spectrum(values=res.values.astype(complex),
+        vals = spectra.leading_real_eigenpairs(M, args.k, seed=seed).values
+        if on_T:
+            vals = (1.0 - vals)[::-1]           # canonical: descending
+        spec = spectra.Spectrum(values=vals.astype(complex),
                                 source=args.matrix)
     try:
         spec = spectra.classify_spectrum(spec, c)

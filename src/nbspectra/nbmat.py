@@ -4,7 +4,8 @@ Builds the non-backtracking matrix B, the out-/in-degree diagonals D_row and
 D_col, the doubly stochastic transition matrix T = D_row^{-1} B, the walk
 Laplacian L = I - T, and the end/start incidence matrices.  All 0/1 operators
 are stored with exact unit entries so structural identities can be checked
-bit-exactly; T and L carry the rational values 1/(d-1).
+bit-exactly; T and L carry the rational values 1/(d-1).  B and T also come
+matrix-free, as :class:`EdgeOperator`, for the iterative solvers.
 
 The reversal involution is never materialized as a matrix: it acts on vectors
 by swapping the two length-m halves and on operators by permuting rows and
@@ -15,7 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, aslinearoperator, eigsh
+from scipy.sparse.linalg import (
+    ArpackNoConvergence,
+    LinearOperator,
+    aslinearoperator,
+    eigsh,
+)
 
 from .errors import (
     DegreeTooSmallError,
@@ -70,22 +76,86 @@ def build_D_col(idx: OrientedEdgeIndex) -> np.ndarray:
     return (idx.degrees[idx.start] - 1).astype(np.float64)
 
 
-def build_T(idx: OrientedEdgeIndex) -> sp.csr_matrix:
-    """Transition matrix T = D_row^{-1} B of the non-backtracking walk.
-
-    Requires a node and min degree >= 2; rows and columns each sum to 1.
-    """
+def _require_transition(idx: OrientedEdgeIndex) -> None:
     if idx.n == 0:
         raise DegreeTooSmallError("graph has no nodes; transition matrix undefined")
     if idx.degrees.min() < 2:
         raise DegreeTooSmallError(
             f"min degree {int(idx.degrees.min())} < 2; transition matrix undefined")
+
+
+def build_T(idx: OrientedEdgeIndex) -> sp.csr_matrix:
+    """Transition matrix T = D_row^{-1} B of the non-backtracking walk.
+
+    Requires a node and min degree >= 2; rows and columns each sum to 1.
+    """
+    _require_transition(idx)
     B = build_B(idx)
     drow = build_D_row(idx)
     T = sp.diags(1.0 / drow) @ B
     T = T.tocsr()
     T.sort_indices()
     return T
+
+
+class EdgeOperator(LinearOperator):
+    """Matrix-free B or T = D_row^{-1} B on the oriented-edge space.
+
+    ``B X`` is ``(Start^T X)[end] - V X``: sum the rows of ``X`` per
+    startpoint, gather the sums at each edge's endpoint, and subtract the
+    half-swap, which removes the backtrack.  The adjoint is
+    ``(End^T X)[start] - V X``.  For T the product is divided by D_row, and
+    the adjoint divides its input first.  Storage is O(2m) instead of the
+    sum_j d_j^2 - 2m entries of the CSR from :func:`build_B`.  ``norm``
+    is ||M||_2, which :func:`norm_bound` returns for it: d_max - 1 for B
+    and 1 for T.
+    """
+
+    def __init__(self, idx: OrientedEdgeIndex, transition: bool):
+        n2 = 2 * idx.m
+        super().__init__(np.float64, (n2, n2))
+        self.m = idx.m
+        self.start, self.end = idx.start, idx.end
+        self.start_t = build_Start(idx).T.tocsr()
+        self.end_t = build_End(idx).T.tocsr()
+        self.drow = build_D_row(idx) if transition else None
+        self.norm = 1.0 if transition else float(idx.degrees.max(initial=1) - 1)
+
+    def _incidence_product(self, gather_t, at, X):
+        out = np.take(gather_t @ X, at, axis=0)
+        m = self.m
+        out[:m] -= X[m:]
+        out[m:] -= X[:m]
+        return out
+
+    def _per_row(self, X):
+        """D_row shaped to divide the rows of a vector or block like X."""
+        return self.drow if X.ndim == 1 else self.drow[:, None]
+
+    def _matmat(self, X):
+        out = self._incidence_product(self.start_t, self.end, X)
+        if self.drow is not None:
+            out /= self._per_row(out)
+        return out
+
+    def _rmatmat(self, X):
+        if self.drow is not None:
+            X = X / self._per_row(X)
+        return self._incidence_product(self.end_t, self.start, X)
+
+    _matvec = _matmat
+    _rmatvec = _rmatmat
+
+
+def B_operator(idx: OrientedEdgeIndex) -> EdgeOperator:
+    """Matrix-free B, equal to :func:`build_B` up to summation order."""
+    return EdgeOperator(idx, transition=False)
+
+
+def T_operator(idx: OrientedEdgeIndex) -> EdgeOperator:
+    """Matrix-free T, equal to :func:`build_T` up to rounding; same checks."""
+    _require_transition(idx)
+    return EdgeOperator(idx, transition=True)
 
 
 def build_L(idx: OrientedEdgeIndex) -> sp.csr_matrix:
@@ -119,10 +189,13 @@ def transpose(M: sp.spmatrix) -> sp.csr_matrix:
 def norm_bound(M) -> float:
     """sqrt(||M||_1 ||M||_inf), an upper bound on the spectral norm ||M||_2.
 
-    ``M`` is a nonempty scipy sparse matrix or dense array.  The bound is
-    exact for T, whose row and column sums are all 1, and for B and BV, whose
+    ``M`` is a nonempty scipy sparse matrix or dense array, or an
+    :class:`EdgeOperator`, whose exact norm is returned.  The bound is exact
+    for T, whose row and column sums are all 1, and for B and BV, whose
     largest row and column sums and largest singular value are all d_max - 1.
     """
+    if isinstance(M, EdgeOperator):
+        return M.norm
     A = abs(M)
     return float(np.sqrt(A.sum(axis=0).max() * A.sum(axis=1).max()))
 

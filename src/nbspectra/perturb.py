@@ -184,8 +184,7 @@ def bound_report(idx, basis, mus, seed: int = 0) -> BoundReport:
     kmatch = min(basis.k, len(mus))
     R_numeric = None
     if kmatch > 0 and mus[0] > 0:
-        B = nbmat.build_B(idx)
-        base = aslinearoperator(B) * (1.0 / mus[0])
+        base = nbmat.B_operator(idx) * (1.0 / mus[0])
         R_numeric = bauer_fike_radius(basis.Z, base, rank_k_section(basis),
                                       seed=seed)
     report = match_and_verify(basis.values[:kmatch], mus[:kmatch],

@@ -39,6 +39,7 @@ VALUE_RTOL = 1e-8         # leading Ritz values count as stable within this
 STABLE_WINDOW = 5         # ... over this many consecutive sweeps
 SMALL_DIM = 512           # operators up to this dimension may grow the block fully
 BULK_MARGIN = 0.05        # a value is structural beyond (1 + this) * bulk radius
+CHOLQR_MAX_COND = 1e6     # CholeskyQR2 falls back to Householder QR above this
 
 PERRON = "perron"
 STRUCTURAL_REAL = "structural_real"
@@ -215,7 +216,7 @@ class LeadingEigenResult:
     block_size: int
 
 
-def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+def _householder_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
     if d is None:
         Q, _ = np.linalg.qr(X)
         return Q
@@ -224,9 +225,31 @@ def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
     return Q / sq[:, None]
 
 
-def _column_norms(X: np.ndarray) -> np.ndarray:
-    # einsum: np.linalg.norm(X, axis=0) takes about four times as long here
-    return np.sqrt(np.einsum("ij,ij->j", X, X))
+def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+    """A basis Q of span(X) with Q^T D Q = I, D = diag(d) (identity if None).
+
+    CholeskyQR2: Q = X inv(L)^T with L L^T = X^T D X, applied twice, the
+    second pass restoring the orthogonality the first loses to rounding.
+    Blocks the first Cholesky factor shows to be ill-conditioned (cond(L) =
+    cond(X) above CHOLQR_MAX_COND) or that Cholesky rejects take Householder
+    QR instead.
+    """
+    Q = X
+    for first in (True, False):
+        gram = Q.T @ (Q if d is None else d[:, None] * Q)
+        try:
+            L = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return _householder_orthonormalize(X, d)
+        if first and np.linalg.cond(L) > CHOLQR_MAX_COND:
+            return _householder_orthonormalize(X, d)
+        Q = Q @ np.linalg.inv(L).T
+    return Q
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    # einsum: np.linalg.norm(X, axis=1) takes about four times as long here
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
 
 
 def _leading_stable(history: deque, ok: np.ndarray, j: int) -> bool:
@@ -257,8 +280,10 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     residual ||M v - theta v|| taken per column.  The rules below are module
     constants.  A Ritz value is retained when its imaginary part is at most
     TAU_IM * (1 + |value|) and its residual at most RESIDUAL_RTOL times the
-    scale sqrt(||M||_1 ||M||_inf) of :func:`nbmat.norm_bound` (so ``M`` needs
-    explicit entries; the scale is ||M||_2 for T, B and BV);
+    scale of :func:`nbmat.norm_bound` (``M`` is a sparse matrix, whose scale
+    sqrt(||M||_1 ||M||_inf) is read off its entries, or an
+    :class:`nbmat.EdgeOperator`, which carries it; either way it is ||M||_2
+    for T, B and BV);
     convergence requires the k leading retained values to be stable to
     VALUE_RTOL over STABLE_WINDOW consecutive sweeps and to sit above the
     modulus floor of the converged block (so no larger real eigenvalue can
@@ -267,7 +292,8 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     dimension, where the projection is exact, while larger ones get one
     doubling before the stall is treated as missing spectral separation.
     ``max_iter`` bounds the total sweeps across rounds.  ``inner`` supplies a
-    diagonal metric for orthogonalization.  Deterministic for a given seed.
+    diagonal metric for the orthogonalization (CholeskyQR2, see
+    :func:`_metric_orthonormalize`).  Deterministic for a given seed.
 
     ``bulk_radius`` is the radius of the disk that holds all but the
     structural eigenvalues.  Given it, k >= 2 and a dimension above
@@ -319,13 +345,14 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             ridx = np.nonzero(real_mask)[0]
             ridx = ridx[np.argsort(-theta.real[ridx])][: k + 2]
             ridx = ridx[S.real[:, ridx].any(axis=0)]
-            S_r = np.ascontiguousarray(S.real[:, ridx])
+            # candidates as rows, so the norms run along contiguous memory
+            S_rt = S.real[:, ridx].T
             vals = theta.real[ridx]
-            QS = Q @ S_r
-            nv = _column_norms(QS)
-            res = _column_norms(Y @ S_r - QS * vals) / nv
-            QS /= nv
-            cand = LeadingEigenResult(values=vals, vectors=QS, residuals=res,
+            SQ = S_rt @ Q.T
+            nv = _row_norms(SQ)
+            res = _row_norms(S_rt @ Y.T - vals[:, None] * SQ) / nv
+            SQ /= nv[:, None]
+            cand = LeadingEigenResult(values=vals, vectors=SQ.T, residuals=res,
                                       iterations=total_it, block_size=p)
             ok = np.nonzero(res <= RESIDUAL_RTOL * norm_m)[0]
             if len(ok) and (best is None or len(ok) >= len(best.values)):
@@ -460,12 +487,13 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
                       seed: int = 0) -> RealEigenBasis:
     """Build the k-dimensional real eigenbasis of the transition matrix.
 
-    mode 'dense' decomposes the full matrix, 'iterative' uses the block
-    iteration under the D_row metric, given the bulk radius 1/sqrt(c - 1)
-    with c = 2m/n so that it stops once the k-th Ritz value has settled
-    inside the bulk disk (see leading_real_eigenpairs); dense decompositions
-    are capped at DENSE_CAP, read at call time.  Requires a connected 2-core
-    that is not a cycle, checked from the index itself.
+    mode 'dense' decomposes the full CSR matrix, 'iterative' runs the block
+    iteration on the matrix-free T (:func:`nbmat.T_operator`) under the
+    D_row metric, given the bulk radius 1/sqrt(c - 1) with c = 2m/n so that
+    it stops once the k-th Ritz value has settled inside the bulk disk (see
+    leading_real_eigenpairs); dense decompositions are capped at DENSE_CAP,
+    read at call time.  Requires a connected 2-core that is not a cycle,
+    checked from the index itself.
 
     The trivial pair is pinned analytically: values[0] = 1 and Z[:, 0] is the
     constant vector scaled so z1' D_row z1 = 1; its left partner is the
@@ -474,7 +502,8 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     cluster the basis is rotated to diagonalize the reversal form, and the
     retained columns are those with the most negative pairing.  Left vectors
     come from the reversal pairing w = Vz / (z'Vz) with a dense transpose
-    fallback, then are rescaled jointly so Z^T W = I holds exactly.
+    fallback (the only iterative step that builds the CSR T), then are
+    rescaled jointly so Z^T W = I holds exactly.
 
     Raises NotEnoughPositiveRealsError when only j < k usable positive real
     pairs are found.  For j >= 1 the error carries, as ``basis``, the
@@ -490,12 +519,12 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     if np.all(idx.degrees == 2):
         raise BadParameterError("graph must not be a cycle")
 
-    T = nbmat.build_T(idx)
     drow = nbmat.build_D_row(idx)
-
     if mode == "dense":
+        T = nbmat.build_T(idx)
         vals, vecs = _positive_real_pairs_dense(T, k)
     elif mode == "iterative":
+        T = nbmat.T_operator(idx)
         radius = 1.0 / np.sqrt(2.0 * idx.m / idx.n - 1.0)
         vals, vecs = _positive_real_pairs_iterative(T, k, drow, seed, radius)
     else:
@@ -579,7 +608,8 @@ def _basis_from_pairs(idx: OrientedEdgeIndex, T, drow: np.ndarray,
                 raise DegenerateBilinearFormError(
                     f"reversal pairing vanished for pair {j} and the dense "
                     f"transpose fallback is unavailable at dimension {n2}")
-            specT, VT = dense_eigendecomposition(T.T, want_vectors=True,
+            specT, VT = dense_eigendecomposition(nbmat.build_T(idx).T,
+                                                 want_vectors=True,
                                                  cap=DENSE_CAP, source="T")
             close = np.argmin(np.abs(specT.values - values[j]))
             W0[:, j] = np.real(VT[:, close])
@@ -616,15 +646,15 @@ def leading_reals_B(idx: OrientedEdgeIndex, k: int, mode: str,
                     seed: int = 0) -> np.ndarray:
     """Leading real eigenvalues of B, descending, at most k of them.
 
-    mode 'dense' reads them off the full spectrum; otherwise the block
-    iteration runs and its InsufficientRealRitzError / NoConvergenceError
-    propagate (the former carries the partial result in ``found``).
+    mode 'dense' reads them off the full spectrum of the CSR B; otherwise
+    the block iteration runs on the matrix-free B and its
+    InsufficientRealRitzError / NoConvergenceError propagate (the former
+    carries the partial result in ``found``).
     """
-    B = nbmat.build_B(idx)
     if mode == "dense":
-        spec, _ = dense_eigendecomposition(B, source="B")
+        spec, _ = dense_eigendecomposition(nbmat.build_B(idx), source="B")
         return np.sort(spec.real_values())[::-1][:k]
-    return leading_real_eigenpairs(B, k, seed=seed).values
+    return leading_real_eigenpairs(nbmat.B_operator(idx), k, seed=seed).values
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

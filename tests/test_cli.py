@@ -77,6 +77,28 @@ def test_spectrum_iterative_too_many_reals_exit_4(tmp_path):
     assert rc == 4
 
 
+def test_spectrum_iterative_L_solves_T_for_the_smallest_reals(tmp_path):
+    # the largest reals of L = I - T lie in the bulk, where the iteration
+    # cannot separate them; its smallest reals are 1 - the leading reals of T
+    assert main(["gen", "--n", "300", "--a", "16", "--b", "4", "--seed", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    graph = str(tmp_path / "graph.tsv")
+    dense, iterative = tmp_path / "dense.csv", tmp_path / "iterative.csv"
+    assert main(["spectrum", "--graph", graph, "--matrix", "L",
+                 "--out", str(dense)]) == 0
+    assert main(["spectrum", "--graph", graph, "--matrix", "L",
+                 "--mode", "iterative", "--k", "2", "--out", str(iterative)]) == 0
+
+    def rows(path):
+        return [r.split(",") for r in read_bytes(path).decode().split()[1:]]
+
+    got = [float(re) for re, im, _ in rows(iterative)]
+    assert got == sorted(got, reverse=True)
+    reals = sorted(float(re) for re, _, cls in rows(dense)
+                   if cls != spectra.COMPLEX_BULK)
+    assert sorted(got) == pytest.approx(reals[:2], abs=1e-6)
+
+
 def test_verify_k4_all_suites(tmp_path):
     graph = write_k4(tmp_path)
     out = tmp_path / "v.json"

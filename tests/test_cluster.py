@@ -202,6 +202,14 @@ def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):
         norms.append(args[0])
         return spectral_norm(*args, **kwargs)
 
+    builds = []
+    for name in ("build_B", "build_T"):
+        def build(idx, name=name, orig=getattr(nbmat, name)):
+            builds.append(name)
+            return orig(idx)
+
+        monkeypatch.setattr(nbmat, name, build)
+
     monkeypatch.setattr(spectra, "real_eigenbasis_T", counted)
     monkeypatch.setattr(spectra, "leading_real_eigenpairs", caught)
     monkeypatch.setattr(nbmat, "spectral_norm", norm_counted)
@@ -209,6 +217,8 @@ def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):
     assert 2 * nb.sample(p).graph.m > spectra.AUTO_DENSE_CAP
     rep = nb.pipeline(p, 2, seed=0)
     assert calls == [2]
+    # the iterative solves and the bound run on the matrix-free operators
+    assert builds == []
     # Lanczos runs only for the Bauer-Fike difference; the T and B solves
     # take their residual scale from the entries
     assert len(norms) == 1

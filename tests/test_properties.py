@@ -4,7 +4,8 @@ and of the graph front end.
 Graphs are drawn at random and reduced to their 2-core.  The examples are
 derandomized so the suite is reproducible; the identities are checked bit
 for bit except the start/end-sum relation, which involves computed
-eigenvectors.  The front end (edge validation, 2-core, components,
+eigenvectors, and the matrix-free B and T, which match their CSR to
+rounding.  The front end (edge validation, 2-core, components,
 bipartiteness) is checked against a per-pair loop and against networkx on
 raw graphs with pendant trees and several components.  The iterative T
 eigenbasis is checked against the dense spectrum on block-model samples on
@@ -80,6 +81,24 @@ def test_reversal_helpers_agree_and_are_involutions(g, seed):
     assert np.array_equal(nbmat.apply_V(nbmat.apply_V(x)), x)
     assert np.array_equal(idx.swap_halves(idx.swap_halves(X)), X)
     assert np.array_equal(reverse[reverse], np.arange(2 * idx.m))
+
+
+@PROPERTY_SETTINGS
+@given(two_cores(), st.integers(0, 2 ** 32 - 1))
+def test_matrix_free_operators_match_the_csr(g, seed):
+    idx = nb.oriented_edges(g)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((2 * idx.m, 3))
+    for op, M in ((nbmat.B_operator(idx), nb.build_B(idx)),
+                  (nbmat.T_operator(idx), nb.build_T(idx))):
+        tol = 1e-14 * nbmat.norm_bound(M) * np.abs(X).max()
+        assert op.shape == M.shape
+        assert np.max(np.abs(op @ X - M @ X)) <= tol
+        assert op.matvec(X[:, 0]).shape == (2 * idx.m,)
+        assert np.max(np.abs(op.matvec(X[:, 0]) - M @ X[:, 0])) <= tol
+        assert np.max(np.abs(op.rmatmat(X) - M.T @ X)) <= tol
+        assert nbmat.norm_bound(op) == pytest.approx(nbmat.norm_bound(M),
+                                                      rel=1e-14)
 
 
 @PROPERTY_SETTINGS

@@ -162,6 +162,47 @@ def test_leading_diag():
     assert_ritz_contract(M, res)
 
 
+def _metric_block(rng, cond, rank=None):
+    """A 3000 x 6 block with singular values spread over [1/cond, 1] (the
+    last 6 - rank of them zero), and a D_row-like diagonal metric."""
+    U, _ = np.linalg.qr(rng.standard_normal((3000, 6)))
+    V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    s = np.geomspace(1.0, 1.0 / cond, 6)
+    if rank is not None:
+        s[rank:] = 0.0
+    d = rng.integers(1, 20, 3000).astype(np.float64)
+    return (U * s) @ V / np.sqrt(d)[:, None], d
+
+
+def test_metric_orthonormalize_cholesky_and_householder_fallback(monkeypatch):
+    householder = []
+    orig = spectra._householder_orthonormalize
+
+    def spy(X, d):
+        householder.append(X.shape)
+        return orig(X, d)
+
+    monkeypatch.setattr(spectra, "_householder_orthonormalize", spy)
+    rng = np.random.default_rng(7)
+    X, d = _metric_block(rng, cond=10.0)
+    for metric in (d, None):
+        Q = spectra._metric_orthonormalize(X, metric)
+        w = np.ones(len(d)) if metric is None else metric
+        assert np.abs(Q.T @ (w[:, None] * Q) - np.eye(6)).max() <= 1e-14
+        # same span: X is its own projection onto span(Q)
+        proj = Q @ (Q.T @ (w[:, None] * X))
+        assert np.abs(proj - X).max() <= 1e-12 * np.abs(X).max()
+    assert householder == []
+
+    # cond 1e7 and 1e9: Cholesky succeeds, but cond(L) is past
+    # CHOLQR_MAX_COND; rank 4: Cholesky rejects the Gram matrix
+    for X, d in (_metric_block(rng, cond=1e7), _metric_block(rng, cond=1e9),
+                 _metric_block(rng, 10.0, rank=4)):
+        Q = spectra._metric_orthonormalize(X, d)
+        assert np.abs(Q.T @ (d[:, None] * Q) - np.eye(6)).max() <= 1e-12
+    assert householder == [X.shape] * 3
+
+
 def test_leading_k4_matches_dense():
     T = nb.build_T(nb.oriented_edges(k4()))
     res = nb.leading_real_eigenpairs(T, 2, seed=0)
