@@ -150,9 +150,11 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0, n_init: int = 10,
         raise BadParameterError(f"k={k} outside [1, {len(X)}]")
     if n_init < 1 or max_iter < 1:
         raise BadParameterError("n_init and max_iter must be positive")
-    if len(np.unique(X, axis=0)) < k:
-        raise DegenerateInputError(
-            f"fewer than {k} distinct points")
+    rest = X    # k - 1 passes drop one distinct row each; np.unique sorts all
+    for _ in range(k - 1):
+        rest = rest[(rest != rest[0]).any(axis=1)]
+        if not len(rest):
+            raise DegenerateInputError(f"fewer than {k} distinct points")
 
     rng = np.random.default_rng(seed)
     best = None

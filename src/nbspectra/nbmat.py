@@ -122,26 +122,23 @@ class EdgeOperator(LinearOperator):
         self.norm = 1.0 if transition else float(idx.degrees.max(initial=1) - 1)
 
     def _incidence_product(self, gather_t, at, X):
-        out = np.take(gather_t @ X, at, axis=0)
+        # X is one vector or a block of one vector per row
+        out = np.take((gather_t @ X.T).T, at, axis=-1)
         m = self.m
-        out[:m] -= X[m:]
-        out[m:] -= X[:m]
+        out[..., :m] -= X[..., m:]
+        out[..., m:] -= X[..., :m]
         return out
-
-    def _per_row(self, X):
-        """D_row shaped to divide the rows of a vector or block like X."""
-        return self.drow if X.ndim == 1 else self.drow[:, None]
 
     def _matmat(self, X):
-        out = self._incidence_product(self.start_t, self.end, X)
+        # the product runs on X.T, so a row block passed as Q.T is not copied
+        out = self._incidence_product(self.start_t, self.end, X.T)
         if self.drow is not None:
-            out /= self._per_row(out)
-        return out
+            out /= self.drow
+        return out.T
 
     def _rmatmat(self, X):
-        if self.drow is not None:
-            X = X / self._per_row(X)
-        return self._incidence_product(self.end_t, self.start, X)
+        X = X.T if self.drow is None else X.T / self.drow
+        return self._incidence_product(self.end_t, self.start, X).T
 
     _matvec = _matmat
     _rmatvec = _rmatmat

@@ -217,33 +217,31 @@ class LeadingEigenResult:
 
 
 def _householder_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
-    if d is None:
-        Q, _ = np.linalg.qr(X)
-        return Q
-    sq = np.sqrt(d)
-    Q, _ = np.linalg.qr(sq[:, None] * X)
-    return Q / sq[:, None]
+    sq = 1.0 if d is None else np.sqrt(d)
+    Q, _ = np.linalg.qr((X * sq).T)
+    return np.ascontiguousarray(Q.T) / sq
 
 
 def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
-    """A basis Q of span(X) with Q^T D Q = I, D = diag(d) (identity if None).
+    """Rows Q spanning the rows of X with Q D Q^T = I, D = diag(d) (identity
+    if None).
 
-    CholeskyQR2: Q = X inv(L)^T with L L^T = X^T D X, applied twice, the
-    second pass restoring the orthogonality the first loses to rounding.
-    Blocks the first Cholesky factor shows to be ill-conditioned (cond(L) =
-    cond(X) above CHOLQR_MAX_COND) or that Cholesky rejects take Householder
-    QR instead.
+    CholeskyQR2 on the rows: Q = inv(L) X with L L^T = X D X^T, applied
+    twice, the second pass restoring the orthogonality the first loses to
+    rounding.  Blocks the first Cholesky factor shows to be ill-conditioned
+    (cond(L) = cond(X) above CHOLQR_MAX_COND) or that Cholesky rejects take
+    Householder QR instead.
     """
     Q = X
     for first in (True, False):
-        gram = Q.T @ (Q if d is None else d[:, None] * Q)
+        gram = Q @ (Q if d is None else Q * d).T
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             return _householder_orthonormalize(X, d)
         if first and np.linalg.cond(L) > CHOLQR_MAX_COND:
             return _householder_orthonormalize(X, d)
-        Q = Q @ np.linalg.inv(L).T
+        Q = np.linalg.inv(L) @ Q
     return Q
 
 
@@ -277,7 +275,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     Runs power steps on a block of k + 4 vectors (at most the dimension) with
     Rayleigh-Ritz extraction each sweep: the k + 2 largest real Ritz values
     and their vectors v = Q s / ||Q s|| are extracted as one block, with the
-    residual ||M v - theta v|| taken per column.  The rules below are module
+    residual ||M v - theta v|| taken per vector.  The rules below are module
     constants.  A Ritz value is retained when its imaginary part is at most
     TAU_IM * (1 + |value|) and its residual at most RESIDUAL_RTOL times the
     scale of :func:`nbmat.norm_bound` (``M`` is a sparse matrix, whose scale
@@ -328,7 +326,9 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     rng = np.random.default_rng(seed)
     p = min(k + 4, nn)
     block_cap = nn if nn <= SMALL_DIM else 2 * (k + 4)
-    Q = _metric_orthonormalize(rng.standard_normal((nn, p)), d)
+    # the block holds one vector per row, so every sweep runs along
+    # contiguous memory; the draws stay (nn, p) to keep the random stream
+    Q = _metric_orthonormalize(rng.standard_normal((nn, p)).T, d)
 
     total_it = 0
     best = None     # retained pairs of the sweep that retained the most
@@ -338,19 +338,18 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
         budget = min(ROUND_SWEEPS, max_iter - total_it)
         for _ in range(budget):
             total_it += 1
-            Y = M @ Q
-            H = Q.T @ (Y if d is None else d[:, None] * Y)
+            Y = (M @ Q.T).T
+            H = Q @ (Y if d is None else Y * d).T
             theta, S = np.linalg.eig(H)
             real_mask = np.abs(theta.imag) <= TAU_IM * (1.0 + np.abs(theta))
             ridx = np.nonzero(real_mask)[0]
             ridx = ridx[np.argsort(-theta.real[ridx])][: k + 2]
             ridx = ridx[S.real[:, ridx].any(axis=0)]
-            # candidates as rows, so the norms run along contiguous memory
             S_rt = S.real[:, ridx].T
             vals = theta.real[ridx]
-            SQ = S_rt @ Q.T
+            SQ = S_rt @ Q
             nv = _row_norms(SQ)
-            res = _row_norms(S_rt @ Y.T - vals[:, None] * SQ) / nv
+            res = _row_norms(S_rt @ Y - vals[:, None] * SQ) / nv
             SQ /= nv[:, None]
             cand = LeadingEigenResult(values=vals, vectors=SQ.T, residuals=res,
                                       iterations=total_it, block_size=p)
@@ -390,7 +389,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                 f"only {j} real Ritz value(s) stabilized, wanted {k}: "
                 f"no spectral separation", found=best)
         extra = rng.standard_normal((nn, p_new - p))
-        Q = _metric_orthonormalize(np.column_stack([Q, extra]), d)
+        Q = _metric_orthonormalize(np.vstack([Q, extra.T]), d)
         p = p_new
 
 

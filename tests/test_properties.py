@@ -9,7 +9,8 @@ rounding.  The front end (edge validation, 2-core, components,
 bipartiteness) is checked against a per-pair loop and against networkx on
 raw graphs with pendant trees and several components.  The iterative T
 eigenbasis is checked against the dense spectrum on block-model samples on
-both sides of the detection threshold.
+both sides of the detection threshold, and the k-means degeneracy check
+against np.unique.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import nbspectra as nb
 from nbspectra import nbmat, spectra
 from nbspectra.errors import (
+    DegenerateInputError,
     DuplicateEdgeError,
     NodeOutOfRangeError,
     NotEnoughPositiveRealsError,
@@ -94,11 +96,34 @@ def test_matrix_free_operators_match_the_csr(g, seed):
         tol = 1e-14 * nbmat.norm_bound(M) * np.abs(X).max()
         assert op.shape == M.shape
         assert np.max(np.abs(op @ X - M @ X)) <= tol
+        # the solver's access path: a C-ordered row block, passed as its .T
+        rows = np.ascontiguousarray(X.T)
+        assert np.max(np.abs((op @ rows.T).T - (M @ X).T)) <= tol
         assert op.matvec(X[:, 0]).shape == (2 * idx.m,)
         assert np.max(np.abs(op.matvec(X[:, 0]) - M @ X[:, 0])) <= tol
         assert np.max(np.abs(op.rmatmat(X) - M.T @ X)) <= tol
         assert nbmat.norm_bound(op) == pytest.approx(nbmat.norm_bound(M),
                                                       rel=1e-14)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_kmeans_distinct_row_check_matches_np_unique(data):
+    # few values, so rows repeat and whole blocks can be equal; -0.0 == 0.0
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, -0.0, 1.0, -2.5])
+    X = np.array(data.draw(st.lists(st.lists(value, min_size=cols,
+                                             max_size=cols),
+                                    min_size=rows, max_size=rows)))
+    k = data.draw(st.integers(1, rows))
+    emb = nb.Embedding(points=X, weights=np.ones(rows), entity="node")
+    degenerate = len(np.unique(X, axis=0)) < k
+    try:
+        nb.weighted_kmeans(emb, k, n_init=1, max_iter=1)
+    except DegenerateInputError:
+        assert degenerate
+    else:
+        assert not degenerate
 
 
 @PROPERTY_SETTINGS

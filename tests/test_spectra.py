@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import nbspectra as nb
-from nbspectra import spectra
+from nbspectra import nbmat, spectra
 from nbspectra.errors import (
     BadParameterError,
     DegreeTooSmallError,
@@ -183,14 +183,16 @@ def test_metric_orthonormalize_cholesky_and_householder_fallback(monkeypatch):
         return orig(X, d)
 
     monkeypatch.setattr(spectra, "_householder_orthonormalize", spy)
+    # the solver's block holds one vector per row: pass X.T, a 6 x 3000 block
     rng = np.random.default_rng(7)
     X, d = _metric_block(rng, cond=10.0)
     for metric in (d, None):
-        Q = spectra._metric_orthonormalize(X, metric)
+        Q = spectra._metric_orthonormalize(X.T, metric)
         w = np.ones(len(d)) if metric is None else metric
-        assert np.abs(Q.T @ (w[:, None] * Q) - np.eye(6)).max() <= 1e-14
+        assert Q.shape == (6, 3000)
+        assert np.abs(Q @ (Q * w).T - np.eye(6)).max() <= 1e-14
         # same span: X is its own projection onto span(Q)
-        proj = Q @ (Q.T @ (w[:, None] * X))
+        proj = Q.T @ (Q @ (w[:, None] * X))
         assert np.abs(proj - X).max() <= 1e-12 * np.abs(X).max()
     assert householder == []
 
@@ -198,9 +200,9 @@ def test_metric_orthonormalize_cholesky_and_householder_fallback(monkeypatch):
     # CHOLQR_MAX_COND; rank 4: Cholesky rejects the Gram matrix
     for X, d in (_metric_block(rng, cond=1e7), _metric_block(rng, cond=1e9),
                  _metric_block(rng, 10.0, rank=4)):
-        Q = spectra._metric_orthonormalize(X, d)
-        assert np.abs(Q.T @ (d[:, None] * Q) - np.eye(6)).max() <= 1e-12
-    assert householder == [X.shape] * 3
+        Q = spectra._metric_orthonormalize(X.T, d)
+        assert np.abs(Q @ (Q * d).T - np.eye(6)).max() <= 1e-12
+    assert householder == [X.T.shape] * 3
 
 
 def test_leading_k4_matches_dense():
@@ -292,6 +294,20 @@ def test_leading_matches_dense_on_sbm():
     assert np.max(np.abs(res.values - dense_reals)) <= 1e-8
     assert res.iterations == 32          # as before the bulk-disk early stop
     assert_ritz_contract(T, res)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leading_on_the_matrix_free_T_matches_the_csr(seed):
+    # EdgeOperator takes the row block as Q.T; the CSR product copies it
+    idx = nb.oriented_edges(
+        nb.sample(nb.SbmParams(n=300, k=2, a=16.0, b=4.0, seed=seed)).graph)
+    drow = nb.build_D_row(idx)
+    free = nb.leading_real_eigenpairs(nbmat.T_operator(idx), 2, inner=drow,
+                                      seed=1)
+    csr = nb.leading_real_eigenpairs(nb.build_T(idx), 2, inner=drow, seed=1)
+    assert free.iterations == csr.iterations
+    assert free.block_size == csr.block_size
+    assert np.max(np.abs(free.values - csr.values)) <= 1e-12
 
 
 def test_real_eigenbasis_k4_frozen_values():
