@@ -10,6 +10,7 @@ outputs are byte-deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -112,7 +113,7 @@ def cmd_bound(args) -> int:
     basis = spectra.real_eigenbasis_T(idx, args.k, mode=mode, seed=seed)
     mus = spectra.leading_reals_B(idx, args.k, mode, seed=seed)
     report = perturb.bound_report(idx, basis, mus, seed=seed)
-    _emit(fileio.to_json(report.to_dict()) + "\n", args.out)
+    _emit(fileio.to_json(dataclasses.asdict(report)) + "\n", args.out)
     return 0
 
 

@@ -85,7 +85,8 @@ class NotEnoughPositiveRealsError(NbspectraError):
 
 
 class DegenerateBilinearFormError(NbspectraError):
-    """The reversal pairing is singular and the transpose fallback failed."""
+    """The reversal pairing z'Vz vanishes, or the left/right pairing matrix
+    is numerically singular."""
 
     exit_code = 4
 

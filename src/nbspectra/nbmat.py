@@ -103,42 +103,38 @@ class EdgeOperator(LinearOperator):
 
     ``B X`` is ``(Start^T X)[end] - V X``: sum the rows of ``X`` per
     startpoint, gather the sums at each edge's endpoint, and subtract the
-    half-swap, which removes the backtrack.  The adjoint is
-    ``(End^T X)[start] - V X``.  For T the product is divided by D_row, and
-    the adjoint divides its input first.  Storage is O(2m) instead of the
-    sum_j d_j^2 - 2m entries of the CSR from :func:`build_B`.  ``norm``
-    is ||M||_2, which :func:`norm_bound` returns for it: d_max - 1 for B
-    and 1 for T.
+    half-swap, which removes the backtrack.  For T the product is divided by
+    D_row.  The adjoint is ``V M V``, the same product between two
+    half-swaps: B^T = V B V, and T^T = V T V because B D_col^{-1} =
+    D_row^{-1} B.  Storage is O(2m) instead of the sum_j d_j^2 - 2m entries
+    of the CSR from :func:`build_B`.  ``norm`` is ||M||_2, which
+    :func:`norm_bound` returns for it: d_max - 1 for B and 1 for T.
     """
 
     def __init__(self, idx: OrientedEdgeIndex, transition: bool):
         n2 = 2 * idx.m
         super().__init__(np.float64, (n2, n2))
         self.m = idx.m
-        self.start, self.end = idx.start, idx.end
+        self.end = idx.end
         self.start_t = build_Start(idx).T.tocsr()
-        self.end_t = build_End(idx).T.tocsr()
+        self.reverse = reversal_permutation(idx.m)
         self.drow = build_D_row(idx) if transition else None
         self.norm = 1.0 if transition else float(idx.degrees.max(initial=1) - 1)
 
-    def _incidence_product(self, gather_t, at, X):
-        # X is one vector or a block of one vector per row
-        out = np.take((gather_t @ X.T).T, at, axis=-1)
-        m = self.m
-        out[..., :m] -= X[..., m:]
-        out[..., m:] -= X[..., :m]
-        return out
-
     def _matmat(self, X):
-        # the product runs on X.T, so a row block passed as Q.T is not copied
-        out = self._incidence_product(self.start_t, self.end, X.T)
+        # the product runs on X.T, one vector or a block of one vector per
+        # row, so a row block passed as Q.T is not copied
+        R = X.T
+        out = np.take((self.start_t @ X).T, self.end, axis=-1)
+        m = self.m
+        out[..., :m] -= R[..., m:]
+        out[..., m:] -= R[..., :m]
         if self.drow is not None:
             out /= self.drow
         return out.T
 
     def _rmatmat(self, X):
-        X = X.T if self.drow is None else X.T / self.drow
-        return self._incidence_product(self.end_t, self.start, X).T
+        return self._matmat(X[self.reverse])[self.reverse]
 
     _matvec = _matmat
     _rmatvec = _rmatmat

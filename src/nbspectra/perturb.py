@@ -141,16 +141,6 @@ class BoundReport:
     R_paper: float
     matches: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa_numeric": self.kappa_numeric,
-            "kappa_bound_ratio": self.kappa_bound_ratio,
-            "kappa_bound_gap": self.kappa_bound_gap,
-            "R_numeric": self.R_numeric,
-            "R_paper": self.R_paper,
-            "matches": self.matches,
-        }
-
 
 def rank_k_section(basis) -> LinearOperator:
     """The rank-k part Z diag(values) W^T of T as a linear operator."""

@@ -47,6 +47,11 @@ REAL_BULK = "real_bulk"
 COMPLEX_BULK = "complex_bulk"
 
 
+def is_real(values, tau_im: float = TAU_IM):
+    """Where an eigenvalue counts as real: |imag| <= tau_im * (1 + |value|)."""
+    return np.abs(values.imag) <= tau_im * (1.0 + np.abs(values))
+
+
 @dataclass
 class Spectrum:
     """Multiset of eigenvalues in canonical order with optional classes.
@@ -65,9 +70,7 @@ class Spectrum:
         return len(self.values)
 
     def real_values(self, tau_im: float = TAU_IM) -> np.ndarray:
-        v = self.values
-        mask = np.abs(v.imag) <= tau_im * (1.0 + np.abs(v))
-        return v.real[mask]
+        return self.values.real[is_real(self.values, tau_im)]
 
     def count_class(self, cls: str) -> int:
         if self.classes is None:
@@ -136,7 +139,7 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
     if V is not None:
         V = V[:, order]
         # make vectors of real eigenvalues real: rotate out the global phase
-        real_mask = np.abs(w.imag) <= TAU_IM * (1.0 + np.abs(w))
+        real_mask = is_real(w)
         for i in np.nonzero(real_mask)[0]:
             col = V[:, i]
             pivot = col[np.argmax(np.abs(col))]
@@ -185,7 +188,7 @@ def classify_spectrum(spectrum: Spectrum, c: float, delta: float = BULK_MARGIN,
     else:
         raise BadParameterError(f"unknown source tag {source!r}")
 
-    real_mask = np.abs(v.imag) <= tau_im * (1.0 + np.abs(v))
+    real_mask = is_real(v, tau_im)
     classes = []
     for i in range(len(v)):
         if not real_mask[i]:
@@ -341,8 +344,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             Y = (M @ Q.T).T
             H = Q @ (Y if d is None else Y * d).T
             theta, S = np.linalg.eig(H)
-            real_mask = np.abs(theta.imag) <= TAU_IM * (1.0 + np.abs(theta))
-            ridx = np.nonzero(real_mask)[0]
+            ridx = np.nonzero(is_real(theta))[0]
             ridx = ridx[np.argsort(-theta.real[ridx])][: k + 2]
             ridx = ridx[S.real[:, ridx].any(axis=0)]
             S_rt = S.real[:, ridx].T
@@ -399,7 +401,8 @@ class RealEigenBasis:
 
     Z columns are D_row-orthonormal right vectors (within a degenerate
     eigenspace the basis additionally diagonalizes the reversal bilinear
-    form); W columns are the paired left vectors, rescaled so Z^T W = I.
+    form); W columns are the paired left vectors Vz (T^T = V T V), rescaled
+    so Z^T W = I.
     Diagnostics carry, per pair: the reversal pairing z'Vz, the squared norm,
     the deviation |z'Vz + lambda| from the exact-pairing regime, the
     antisymmetry defect ||z + Vz||, the eigen-residual ||Tz - lambda z||, and
@@ -453,8 +456,7 @@ def _positive_real_pairs_dense(T, k: int):
     spec, V = dense_eigendecomposition(T, want_vectors=True, cap=DENSE_CAP,
                                        source="T")
     w = spec.values
-    mask = (np.abs(w.imag) <= TAU_IM * (1.0 + np.abs(w))) & (w.real > 1e-10)
-    pos = np.nonzero(mask)[0]
+    pos = np.nonzero(is_real(w) & (w.real > 1e-10))[0]
     order = pos[np.argsort(-w.real[pos])]
     vals = w.real[order]
     vecs = np.real(V[:, order])
@@ -500,9 +502,9 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     D_row-orthonormalized in decreasing eigenvalue order; inside a degenerate
     cluster the basis is rotated to diagonalize the reversal form, and the
     retained columns are those with the most negative pairing.  Left vectors
-    come from the reversal pairing w = Vz / (z'Vz) with a dense transpose
-    fallback (the only iterative step that builds the CSR T), then are
-    rescaled jointly so Z^T W = I holds exactly.
+    come from the reversal pairing w = Vz / (z'Vz), which T^T = V T V makes
+    exact, then are rescaled jointly so Z^T W = I holds exactly; a pairing
+    that vanishes raises DegenerateBilinearFormError.
 
     Raises NotEnoughPositiveRealsError when only j < k usable positive real
     pairs are found.  For j >= 1 the error carries, as ``basis``, the
@@ -597,21 +599,13 @@ def _basis_from_pairs(idx: OrientedEdgeIndex, T, drow: np.ndarray,
     Zbrev = idx.swap_halves(Z)
     g_pair = np.array([Z[:, j] @ Zbrev[:, j] for j in range(k)])
 
-    # left vectors from the reversal pairing, dense transpose fallback
-    W0 = np.empty_like(Z)
-    for j in range(k):
-        if abs(g_pair[j]) > 1e-10:
-            W0[:, j] = Zbrev[:, j] / g_pair[j]
-        else:
-            if n2 > DENSE_CAP:
-                raise DegenerateBilinearFormError(
-                    f"reversal pairing vanished for pair {j} and the dense "
-                    f"transpose fallback is unavailable at dimension {n2}")
-            specT, VT = dense_eigendecomposition(nbmat.build_T(idx).T,
-                                                 want_vectors=True,
-                                                 cap=DENSE_CAP, source="T")
-            close = np.argmin(np.abs(specT.values - values[j]))
-            W0[:, j] = np.real(VT[:, close])
+    # left vectors from the reversal pairing: T^T = V T V, so Vz is a left
+    # eigenvector of T at the value of z
+    if not np.all(g_pair):
+        raise DegenerateBilinearFormError(
+            f"reversal pairing z'Vz vanished for pair "
+            f"{int(np.argmin(np.abs(g_pair)))}")
+    W0 = Zbrev / g_pair
     C = Z.T @ W0
     if np.linalg.cond(C) > 1e12:
         raise DegenerateBilinearFormError(

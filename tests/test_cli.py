@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,19 @@ def test_verify_components_cycle_and_plain():
         "check": "0-multiplicity of L == number of components",
         "residual": 0.0, "tolerance": 0.0, "pass": True,
         "informational": False}]
+
+
+def test_verify_pt_stays_sparse_on_many_nodes():
+    # K4 plus 3000 isolated nodes: one dense n x n degree matrix takes 72 MB
+    g = nb.from_edge_list(k4().edges, 3004)
+    tracemalloc.start()
+    try:
+        ok, findings = verify.run_suites(g, ["pt"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and len(findings) == 7
+    assert peak < 20e6
 
 
 def test_verify_corrupt_file_exit_3(tmp_path):

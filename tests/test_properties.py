@@ -60,6 +60,9 @@ def test_operator_identities_bit_exact(g):
     assert bit_equal(B, sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                                       shape=(n2, n2)))
     assert bit_equal(nbmat.transpose(B), nbmat.conjugate_by_V(B))
+    # the same symmetry for T, from which EdgeOperator takes its adjoint
+    T = nb.build_T(idx)
+    assert bit_equal(nbmat.transpose(T), nbmat.conjugate_by_V(T))
     End, Start = nb.build_End(idx), nb.build_Start(idx)
     gram = (End @ End.T - sp.eye(2 * idx.m, format="csr")).tocsr()
     gram.eliminate_zeros()

@@ -8,6 +8,7 @@ import nbspectra as nb
 from nbspectra import nbmat, spectra
 from nbspectra.errors import (
     BadParameterError,
+    DegenerateBilinearFormError,
     DegreeTooSmallError,
     DimensionCapError,
     InsufficientRealRitzError,
@@ -383,6 +384,25 @@ def test_real_eigenbasis_shortfall_carries_the_smaller_basis():
     assert np.max(np.abs(basis.Z.T @ (drow[:, None] * basis.Z)
                          - np.eye(4))) <= 1e-8
     assert np.max(np.abs(basis.Z.T @ basis.W - np.eye(4))) <= 1e-8
+
+
+def test_vanishing_reversal_pairing_raises_at_every_dimension():
+    # z = e_0 - e_1 lies on the forward half, so z'Vz = 0 exactly, and on a
+    # regular graph it is D_row-orthogonal to the constant vector; one graph
+    # has 2m below the dense cap and the other above it
+    n = 1700
+    circulant = nb.from_edge_list(
+        [(i, (i + s) % n) for i in range(n) for s in (1, 2)], n)
+    for g in (petersen(), circulant):
+        idx = nb.oriented_edges(g)
+        z = np.zeros(2 * idx.m)
+        z[:2] = 1.0, -1.0
+        vecs = np.column_stack([np.ones(2 * idx.m), z])
+        with pytest.raises(DegenerateBilinearFormError, match="pair 1$"):
+            spectra._basis_from_pairs(idx, nbmat.T_operator(idx),
+                                      nb.build_D_row(idx),
+                                      np.array([1.0, 0.5]), vecs, 2)
+    assert 2 * idx.m > spectra.DENSE_CAP
 
 
 def test_node_sums_examples():
