@@ -11,7 +11,6 @@ from .graph import (
     two_core,
 )
 from .nbmat import (
-    apply_V,
     build_B,
     build_D_col,
     build_D_row,

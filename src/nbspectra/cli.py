@@ -14,10 +14,8 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import cluster, fileio, nbmat, perturb, sbm, spectra, verify
-from .errors import BadParameterError, CountMismatchError, NbspectraError
+from .errors import BadParameterError, NbspectraError
 from .graph import oriented_edges, reversal_permutation, two_core
 
 
@@ -109,7 +107,7 @@ def cmd_bound(args) -> int:
     g = fileio.read_graph(args.graph)
     core, _ = two_core(g)
     idx = oriented_edges(core)
-    mode = spectra.auto_mode(idx, args.dense_cap)
+    mode = spectra.auto_mode(idx)
     basis = spectra.real_eigenbasis_T(idx, args.k, mode=mode, seed=seed)
     mus = spectra.leading_reals_B(idx, args.k, mode, seed=seed)
     report = perturb.bound_report(idx, basis, mus, seed=seed)
@@ -118,42 +116,21 @@ def cmd_bound(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    """Serve ``cluster`` (a graph file) and ``pipeline`` (a file or a model)."""
     seed = _resolve_seed(args.seed)
-    g = fileio.read_graph(args.graph)
-    truth = fileio.read_labels(args.truth) if args.truth else None
-    core, table = two_core(g)
-    core_truth = None
-    if truth is not None:
-        if len(truth) != g.n:
-            raise CountMismatchError(
-                f"truth file covers {len(truth)} nodes, graph has {g.n}")
-        core_truth = truth[table >= 0]
-    report, labels = cluster.pipeline(core, args.k, mode=args.mode, seed=seed,
-                                      truth=core_truth, return_labels=True)
-    full = np.full(g.n, -1, dtype=np.int64)
-    full[table >= 0] = labels
-    if args.assign:
-        fileio.write_text_atomic(args.assign, fileio.labels_to_text(full))
-    _emit(fileio.to_json(report) + "\n", args.out)
-    return 0
-
-
-def cmd_pipeline(args) -> int:
-    seed = _resolve_seed(args.seed)
-    if args.graph:
+    if args.graph is not None:      # always so for cluster, which requires it
         source = fileio.read_graph(args.graph)
         truth = fileio.read_labels(args.truth) if args.truth else None
-        if truth is not None and len(truth) != source.n:
-            raise CountMismatchError(
-                f"truth file covers {len(truth)} nodes, graph has {source.n}")
     else:
         if args.n is None:
             raise BadParameterError("pipeline needs --graph or --n/--a/--b")
         source = sbm.SbmParams(n=args.n, k=args.k, a=args.a, b=args.b,
                                seed=seed)
         truth = None
-    report = cluster.pipeline(source, args.k, mode=args.mode, seed=seed,
-                              truth=truth)
+    report, labels = cluster.pipeline(source, args.k, mode=args.mode, seed=seed,
+                                      truth=truth, return_labels=True)
+    if args.assign:
+        fileio.write_text_atomic(args.assign, fileio.labels_to_text(labels))
     _emit(fileio.to_json(report) + "\n", args.out)
     return 0
 
@@ -194,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="eigenvalue closeness radii")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--dense-cap", type=int, default=spectra.AUTO_DENSE_CAP)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
@@ -222,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="edge_vote")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_cluster, assign=None)
     return parser
 
 

@@ -18,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from . import nbmat, perturb, spectra
 from .errors import (
     BadParameterError,
+    CountMismatchError,
     DegenerateInputError,
     InsufficientRealRitzError,
     IsolatedNodeError,
@@ -232,35 +233,45 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     """Full run: 2-core, eigenbasis, embedding, k-means, node labels, report.
 
     ``source`` is a SimpleGraph or SbmParams (sampled with its own seed; the
-    planted labels become the truth).  Eigenpairs of T and the leading reals
-    of B are solved dense when 2m <= spectra.AUTO_DENSE_CAP, iteratively
-    otherwise.  mode 'edge_vote' clusters the 'drow_sqrt' oriented-edge
-    embedding with D_row weights and majority-votes per end node; 'deflate'
-    clusters node representatives and falls back to edge voting when the
-    deflation loses the signal.  The eigenbasis of T is solved once: if only
-    j < k positive real eigenvalues are found, the run degrades to the
-    j-dimensional basis that solve already assembled (recorded in the
-    fallback flag) instead of failing; the below-threshold regime lands here
-    by construction, and there the iterative solve stops as soon as the k-th
-    Ritz value sits inside the bulk disk.  The B reals and the bound are best
-    effort: a partial B solve is used as far as it goes, and the bound is
-    skipped (mu empty, radii None) when no positive mu_1 is found.
+    planted labels become the truth).  A SimpleGraph is reduced to its 2-core
+    first; ``truth`` then labels the nodes of the input graph, one per node
+    (CountMismatchError otherwise), and is restricted to the core.
+    Eigenpairs of T and the leading reals of B are solved dense when 2m <=
+    spectra.AUTO_DENSE_CAP, iteratively otherwise.  mode 'edge_vote' clusters
+    the 'drow_sqrt' oriented-edge embedding with D_row weights and
+    majority-votes per end node; 'deflate' clusters node representatives and
+    falls back to edge voting when the deflation loses the signal.  The
+    eigenbasis of T is solved once: if only j < k positive real eigenvalues
+    are found, the run degrades to the j-dimensional basis that solve
+    already assembled (recorded in the fallback flag) instead of failing;
+    the below-threshold regime lands here by construction, and there the
+    iterative solve stops as soon as the k-th Ritz value sits inside the
+    bulk disk.  The B reals and the bound are best effort: a partial B solve
+    is used as far as it goes, and the bound is skipped (mu empty, radii
+    None) when no positive mu_1 is found.
 
     Returns a report dict with the fixed key set {lambda, mu, R_paper,
     R_numeric, objective, overlap, mode, fallback, seeds}; with
-    ``return_labels`` the node label array is returned alongside.
+    ``return_labels`` the node label array is returned alongside.  For a
+    SimpleGraph it is indexed by the nodes of the input graph, with -1 at
+    the nodes the 2-core dropped; for SbmParams, by the nodes of the sample.
     """
     if mode not in ("edge_vote", "deflate"):
         raise BadParameterError(f"unknown mode {mode!r}")
+    kept = None     # input nodes the 2-core keeps, for a SimpleGraph source
     if isinstance(source, SbmParams):
         smp = sample(source)
         g = smp.graph
         if truth is None:
             truth = smp.labels
     elif isinstance(source, SimpleGraph):
+        if truth is not None and len(truth) != source.n:
+            raise CountMismatchError(
+                f"truth has {len(truth)} labels, graph has {source.n} nodes")
         g, table = two_core(source)
+        kept = np.asarray(table) >= 0
         if truth is not None:
-            truth = np.asarray(truth)[np.asarray(table) >= 0]
+            truth = np.asarray(truth)[kept]
     else:
         raise BadParameterError(
             f"source must be SimpleGraph or SbmParams, got {type(source)}")
@@ -328,7 +339,11 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
         "seeds": {"master": seed, "graph": source.seed
                   if isinstance(source, SbmParams) else None},
     }
-    if return_labels:
-        return report, node_labels
-    return report
+    if not return_labels:
+        return report
+    if kept is not None:
+        full = np.full(source.n, -1, dtype=np.int64)
+        full[kept] = node_labels
+        node_labels = full
+    return report, node_labels
 

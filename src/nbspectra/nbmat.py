@@ -7,9 +7,9 @@ are stored with exact unit entries so structural identities can be checked
 bit-exactly; T and L carry the rational values 1/(d-1).  B and T also come
 matrix-free, as :class:`EdgeOperator`, for the iterative solvers.
 
-The reversal involution is never materialized as a matrix: it acts on vectors
-by swapping the two length-m halves and on operators by permuting rows and
-columns with the same swap.
+The reversal involution acts on vectors by swapping the two length-m halves
+(:meth:`OrientedEdgeIndex.swap_halves`) and on operators by permuting rows
+and columns with the same swap; only :func:`build_B` forms it as a matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from scipy.sparse.linalg import (
 
 from .errors import (
     DegreeTooSmallError,
-    LengthMismatchError,
     NoConvergenceError,
     ShapeMismatchError,
 )
@@ -45,14 +44,6 @@ def build_B(idx: OrientedEdgeIndex) -> sp.csr_matrix:
     B = (build_End(idx) @ build_Start(idx).T - V).tocsr()
     B.sort_indices()
     return B
-
-
-def apply_V(x: np.ndarray) -> np.ndarray:
-    """Swap the two halves of a length-2m vector (the reversal involution)."""
-    x = np.asarray(x)
-    if x.ndim == 0 or x.shape[0] % 2 != 0:
-        raise LengthMismatchError(f"length {x.shape} is not an even vector")
-    return x[reversal_permutation(x.shape[0] // 2)]
 
 
 def conjugate_by_V(M: sp.spmatrix) -> sp.csr_matrix:

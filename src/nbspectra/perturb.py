@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import nbmat
@@ -30,14 +29,6 @@ def spectral_condition_number(U: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _as_operator(M) -> LinearOperator:
-    if isinstance(M, LinearOperator):
-        return M
-    if sp.issparse(M):
-        return aslinearoperator(M.tocsr())
-    return aslinearoperator(np.asarray(M, dtype=np.float64))
-
-
 def bauer_fike_radius(U: np.ndarray, A, Bp, seed: int = 0) -> float:
     """kappa(U) * ||Bp - A||: every eigenvalue of Bp is within this of A's.
 
@@ -45,7 +36,7 @@ def bauer_fike_radius(U: np.ndarray, A, Bp, seed: int = 0) -> float:
     difference norm is the spectral norm by Lanczos
     (:func:`nbmat.spectral_norm`), accurate to machine precision.
     """
-    opA, opB = _as_operator(A), _as_operator(Bp)
+    opA, opB = aslinearoperator(A), aslinearoperator(Bp)
     if opA.shape != opB.shape:
         raise BadParameterError(
             f"base {opA.shape} and perturbed {opB.shape} shapes differ")

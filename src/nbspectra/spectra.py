@@ -47,9 +47,10 @@ REAL_BULK = "real_bulk"
 COMPLEX_BULK = "complex_bulk"
 
 
-def is_real(values, tau_im: float = TAU_IM):
-    """Where an eigenvalue counts as real: |imag| <= tau_im * (1 + |value|)."""
-    return np.abs(values.imag) <= tau_im * (1.0 + np.abs(values))
+def is_real(values):
+    """Where an eigenvalue counts as real: |imag| <= TAU_IM * (1 + |value|),
+    the package's one realness rule, for spectra and Ritz values alike."""
+    return np.abs(values.imag) <= TAU_IM * (1.0 + np.abs(values))
 
 
 @dataclass
@@ -57,20 +58,18 @@ class Spectrum:
     """Multiset of eigenvalues in canonical order with optional classes.
 
     Canonical order is descending real part, then descending imaginary part.
-    ``classes`` is filled by :func:`classify_spectrum`; ``backward_error`` is
-    the largest measured relative residual when eigenvectors were requested.
+    ``classes`` is filled by :func:`classify_spectrum`.
     """
 
     values: np.ndarray
     source: str = ""
     classes: list | None = None
-    backward_error: float | None = None
 
     def __len__(self):
         return len(self.values)
 
-    def real_values(self, tau_im: float = TAU_IM) -> np.ndarray:
-        return self.values.real[is_real(self.values, tau_im)]
+    def real_values(self) -> np.ndarray:
+        return self.values.real[is_real(self.values)]
 
     def count_class(self, cls: str) -> int:
         if self.classes is None:
@@ -135,7 +134,6 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
 
     order = _canonical_order(w)
     w = w[order]
-    backward = None
     if V is not None:
         V = V[:, order]
         # make vectors of real eigenvalues real: rotate out the global phase
@@ -155,40 +153,37 @@ def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP
         if backward > 1e-8:
             raise NoConvergenceError(
                 f"eigenvector residual {backward:.2e} exceeds 1e-8 relative")
-    spec = Spectrum(values=w, source=source, backward_error=backward)
-    return spec, V
+    return Spectrum(values=w, source=source), V
 
 
-def classify_spectrum(spectrum: Spectrum, c: float, delta: float = BULK_MARGIN,
-                      tau_im: float = TAU_IM) -> Spectrum:
+def classify_spectrum(spectrum: Spectrum, c: float) -> Spectrum:
     """Label each eigenvalue perron / structural_real / real_bulk / complex_bulk.
 
     ``c`` is the average degree of the underlying graph.  The bulk radius is
     sqrt(c) for B and BV sources and 1/sqrt(c-1) for T; L is classified
     through its image 1 - value under the T rule.  An eigenvalue is treated
-    as real when |imag| <= tau_im * (1 + |value|); a real one is structural
-    when it clears the bulk radius by the margin delta.  The largest positive
-    real entry is the single perron eigenvalue.
+    as real by :func:`is_real`; a real one is structural when it clears the
+    bulk radius by the margin BULK_MARGIN, the same margin the block
+    iteration's bulk-disk stop uses.  The largest positive real entry is the
+    single perron eigenvalue.
     """
     if not np.isfinite(c) or c <= 1:
         raise BadParameterError(f"average degree must exceed 1, got {c}")
-    if delta < 0:
-        raise BadParameterError(f"margin must be nonnegative, got {delta}")
     v = spectrum.values
     source = spectrum.source or "B"
     if source in ("B", "BV"):
         effective = v
-        threshold = (1.0 + delta) * np.sqrt(c)
+        threshold = (1.0 + BULK_MARGIN) * np.sqrt(c)
     elif source == "T":
         effective = v
-        threshold = (1.0 + delta) / np.sqrt(c - 1.0)
+        threshold = (1.0 + BULK_MARGIN) / np.sqrt(c - 1.0)
     elif source == "L":
         effective = 1.0 - v
-        threshold = (1.0 + delta) / np.sqrt(c - 1.0)
+        threshold = (1.0 + BULK_MARGIN) / np.sqrt(c - 1.0)
     else:
         raise BadParameterError(f"unknown source tag {source!r}")
 
-    real_mask = is_real(v, tau_im)
+    real_mask = is_real(v)
     classes = []
     for i in range(len(v)):
         if not real_mask[i]:
@@ -204,8 +199,7 @@ def classify_spectrum(spectrum: Spectrum, c: float, delta: float = BULK_MARGIN,
             best, best_val = i, effective[i].real
     if best is not None:
         classes[best] = PERRON
-    return Spectrum(values=v, source=source, classes=classes,
-                    backward_error=spectrum.backward_error)
+    return Spectrum(values=v, source=source, classes=classes)
 
 
 @dataclass
@@ -630,9 +624,10 @@ def _basis_from_pairs(idx: OrientedEdgeIndex, T, drow: np.ndarray,
     return RealEigenBasis(k=k, values=values, Z=Z, W=W, diagnostics=diagnostics)
 
 
-def auto_mode(idx: OrientedEdgeIndex, dense_cap: int = AUTO_DENSE_CAP) -> str:
-    """'dense' when the oriented-edge dimension 2m is at most dense_cap."""
-    return "dense" if 2 * idx.m <= dense_cap else "iterative"
+def auto_mode(idx: OrientedEdgeIndex) -> str:
+    """'dense' when the oriented-edge dimension 2m is at most AUTO_DENSE_CAP,
+    else 'iterative': bound and pipeline pick their solver by size alone."""
+    return "dense" if 2 * idx.m <= AUTO_DENSE_CAP else "iterative"
 
 
 def leading_reals_B(idx: OrientedEdgeIndex, k: int, mode: str,

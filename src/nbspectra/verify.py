@@ -23,6 +23,8 @@ from .graph import (
 
 ALL_SUITES = ("pt", "stochastic", "svd", "sums", "theorem1", "bipartite",
               "components")
+STOCHASTIC_TOL = 1e-12    # row and column sums of T are exact up to rounding
+TOL = 1e-8                # every other residual check
 
 
 def _finding(suite, check, residual, tol, informational=False):
@@ -94,19 +96,19 @@ def suite_pt(g: SimpleGraph):
     return out
 
 
-def suite_stochastic(g: SimpleGraph, tol=1e-12):
+def suite_stochastic(g: SimpleGraph):
     idx = oriented_edges(g)
     T = nbmat.build_T(idx)
     ones = np.ones(2 * idx.m)
     row = float(np.max(np.abs(T @ ones - 1.0)))
     col = float(np.max(np.abs(T.T @ ones - 1.0)))
     return [
-        _finding("stochastic", "row sums of T", row, tol),
-        _finding("stochastic", "column sums of T", col, tol),
+        _finding("stochastic", "row sums of T", row, STOCHASTIC_TOL),
+        _finding("stochastic", "column sums of T", col, STOCHASTIC_TOL),
     ]
 
 
-def suite_svd(g: SimpleGraph, tol=1e-8):
+def suite_svd(g: SimpleGraph):
     idx = oriented_edges(g)
     if 2 * idx.m > spectra.DENSE_CAP:
         raise DimensionCapError(
@@ -116,10 +118,10 @@ def suite_svd(g: SimpleGraph, tol=1e-8):
     closed = spectra.closed_form_singular_values_B(idx)
     resid = float(np.max(np.abs(numeric - closed))) if len(closed) else 0.0
     return [_finding("svd", "singular values of B match closed form",
-                     resid, tol)]
+                     resid, TOL)]
 
 
-def suite_sums(g: SimpleGraph, tol=1e-8):
+def suite_sums(g: SimpleGraph):
     idx = oriented_edges(g)
     T = nbmat.build_T(idx)
     spec, V = spectra.dense_eigendecomposition(T, want_vectors=True, source="T")
@@ -141,15 +143,15 @@ def suite_sums(g: SimpleGraph, tol=1e-8):
             worst_endinfo = max(worst_endinfo,
                                 float(np.max(np.abs(es)) / nz))
     out.append(_finding("sums", "sum of coordinates vanishes (lambda != 1)",
-                        worst_global, tol))
+                        worst_global, TOL))
     out.append(_finding("sums", "start-sums == lambda * end-sums",
-                        worst_reversal, tol))
+                        worst_reversal, TOL))
     out.append(_finding("sums", "largest per-node end-sum (diagnostic)",
-                        worst_endinfo, tol, informational=True))
+                        worst_endinfo, TOL, informational=True))
     return out
 
 
-def suite_theorem1(g: SimpleGraph, tol=1e-8):
+def suite_theorem1(g: SimpleGraph):
     idx = oriented_edges(g)
     try:
         basis = spectra.real_eigenbasis_T(idx, 2, mode="dense")
@@ -163,42 +165,42 @@ def suite_theorem1(g: SimpleGraph, tol=1e-8):
     bi = basis.Z.T @ basis.W - np.eye(k)
     out = [
         _finding("theorem1", "Z^T D_row Z == I",
-                 float(np.max(np.abs(gram))), tol),
-        _finding("theorem1", "Z^T W == I", float(np.max(np.abs(bi))), tol),
+                 float(np.max(np.abs(gram))), TOL),
+        _finding("theorem1", "Z^T W == I", float(np.max(np.abs(bi))), TOL),
         _finding("theorem1", "largest |z'Vz + lambda| (diagnostic)",
                  float(np.max(basis.diagnostics["pairing_deviation"])),
-                 tol, informational=True),
+                 TOL, informational=True),
         _finding("theorem1", "largest eigen-residual of Z (diagnostic)",
                  float(np.max(basis.diagnostics["eigen_residual"])),
-                 tol, informational=True),
+                 TOL, informational=True),
     ]
     return out
 
 
-def suite_bipartite(g: SimpleGraph, tol=1e-8):
+def suite_bipartite(g: SimpleGraph):
     idx = oriented_edges(g)
     T = nbmat.build_T(idx)
     spec, _ = spectra.dense_eigendecomposition(T, source="T")
     bip, _, _ = is_bipartite(g)
     dist_minus1 = float(np.min(np.abs(spec.values + 1.0)))
-    has_minus1 = dist_minus1 <= tol
+    has_minus1 = dist_minus1 <= TOL
     agree = has_minus1 == bip
     return [_finding("bipartite", "-1 in spectrum(T) iff bipartite",
-                     0.0 if agree else max(dist_minus1, 1.0), tol)]
+                     0.0 if agree else max(dist_minus1, 1.0), TOL)]
 
 
-def suite_components(g: SimpleGraph, tol=1e-8):
+def suite_components(g: SimpleGraph):
     idx = oriented_edges(g)
     L = nbmat.build_L(idx)
     spec, _ = spectra.dense_eigendecomposition(L, source="L")
     comps = connected_components(g)
     # a component is a cycle exactly when each of its nodes has degree 2
     any_cycle = any(np.all(idx.degrees[comp] == 2) for comp in comps)
-    zero_mult = int(np.sum(np.abs(spec.values) <= tol))
+    zero_mult = int(np.sum(np.abs(spec.values) <= TOL))
     if any_cycle:
         return [_finding("components",
                          "0-multiplicity of L (cycle component present)",
-                         float(zero_mult), tol, informational=True)]
+                         float(zero_mult), TOL, informational=True)]
     resid = abs(zero_mult - len(comps))
     return [_finding("components",
                      "0-multiplicity of L == number of components",

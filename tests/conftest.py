@@ -26,6 +26,14 @@ def petersen():
     return nb.from_edge_list(outer + inner + spokes, 10)
 
 
+def petersen_with_tails():
+    """The Petersen graph on nodes 1 2 4 5 7 8 10 11 13 14, plus what its
+    2-core drops: isolated nodes 0 and 9, the tail 1-3-6 and the pendant 12."""
+    core = [1, 2, 4, 5, 7, 8, 10, 11, 13, 14]
+    edges = [(core[u], core[v]) for u, v in petersen().edges]
+    return nb.from_edge_list(edges + [(1, 3), (3, 6), (12, 14)], 15)
+
+
 def triangle():
     return nb.from_edge_list([(0, 1), (0, 2), (1, 2)], 3)
 

@@ -1,14 +1,15 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import nbspectra as nb
-from nbspectra import cli, errors, fileio, spectra, verify
+from nbspectra import cli, cluster, errors, fileio, spectra, verify
 from nbspectra.cli import main
 from nbspectra.errors import DimensionCapError
 
-from conftest import k4
+from conftest import k4, petersen_with_tails
 
 
 def write_k4(tmp_path, name="k4.tsv"):
@@ -256,6 +257,37 @@ def test_bound_and_cluster_agree(tmp_path):
             assert clus["lambda"][i] == match["lambda"]
             assert clus["mu"][i] / clus["mu"][0] == match["mu_over_mu1"]
         assert clus["R_paper"] == bound["R_paper"]
+
+
+def test_cluster_and_pipeline_take_one_two_core_and_agree(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    g = petersen_with_tails()
+    graph, truth = str(tmp_path / "g.tsv"), str(tmp_path / "truth.tsv")
+    short = str(tmp_path / "short.tsv")
+    fileio.write_text_atomic(graph, fileio.graph_to_text(g))
+    fileio.write_text_atomic(truth, fileio.labels_to_text(np.arange(g.n) % 2))
+    fileio.write_text_atomic(short, fileio.labels_to_text(np.zeros(g.n - 1)))
+    calls = []
+
+    def counted(h):
+        calls.append(h.n)
+        return nb.two_core(h)
+
+    monkeypatch.setattr(cli, "two_core", counted)
+    monkeypatch.setattr(cluster, "two_core", counted)
+    reports = []
+    for command in ("cluster", "pipeline"):
+        calls.clear()
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--graph", graph, "--k", "2", "--truth", truth,
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert calls == [g.n]
+        reports.append(read_bytes(out))
+        assert main([command, "--graph", graph, "--k", "2",
+                     "--truth", short]) == 2
+        assert "truth" in capsys.readouterr().err
+    assert reports[0] == reports[1]
 
 
 def test_pipeline_deflate_k4_fallback(tmp_path):

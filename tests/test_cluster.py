@@ -5,12 +5,13 @@ import nbspectra as nb
 from nbspectra import cluster, fileio, nbmat, spectra
 from nbspectra.errors import (
     BadParameterError,
+    CountMismatchError,
     DegenerateInputError,
     InsufficientRealRitzError,
     LengthMismatchError,
 )
 
-from conftest import assert_ritz_contract, k4, petersen
+from conftest import assert_ritz_contract, k4, petersen, petersen_with_tails
 
 
 def _k4_basis():
@@ -175,6 +176,27 @@ def test_pipeline_petersen_no_truth():
     assert rep["overlap"] is None
     assert len(labels) == 10
     assert set(labels) <= {0, 1}
+
+
+def test_pipeline_rejects_truth_of_the_wrong_length():
+    g = petersen_with_tails()
+    with pytest.raises(CountMismatchError):
+        nb.pipeline(g, 2, truth=np.zeros(g.n - 1, dtype=np.int64))
+
+
+def test_pipeline_labels_the_nodes_of_the_input_graph():
+    g = petersen_with_tails()
+    core, table = nb.two_core(g)
+    assert 0 < core.n < g.n
+    truth = np.arange(g.n) % 2
+    rep, labels = nb.pipeline(g, 2, seed=0, truth=truth, return_labels=True)
+    core_rep, core_labels = nb.pipeline(core, 2, seed=0,
+                                        truth=truth[table >= 0],
+                                        return_labels=True)
+    assert rep == core_rep
+    assert len(labels) == g.n
+    assert np.array_equal(labels == -1, table < 0)
+    assert np.array_equal(labels[table >= 0], core_labels)
 
 
 def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):

@@ -8,7 +8,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, aslinearoperator
 from nbspectra import nbmat, perturb, spectra
 from nbspectra.errors import (
     DegreeTooSmallError,
-    LengthMismatchError,
     NoConvergenceError,
 )
 
@@ -54,18 +53,6 @@ def test_entry_count_formula_random():
         assert B.nnz == int(np.sum(g.degrees ** 2) - 2 * g.m)
 
 
-def test_apply_V():
-    assert np.array_equal(nbmat.apply_V(np.array([1., 2., 3., 4.])),
-                          np.array([3., 4., 1., 2.]))
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(12)
-    assert np.array_equal(nbmat.apply_V(nbmat.apply_V(x)), x)
-    ones = np.ones(8)
-    assert np.array_equal(nbmat.apply_V(ones), ones)
-    with pytest.raises(LengthMismatchError):
-        nbmat.apply_V(np.ones(5))
-
-
 def test_D_row_D_col():
     idx = nb.oriented_edges(k4())
     drow = nb.build_D_row(idx)
@@ -76,7 +63,7 @@ def test_D_row_D_col():
     for e in range(2 * idx23.m):
         assert drow23[e] == idx23.degrees[idx23.end[e]] - 1
         assert dcol23[e] == idx23.degrees[idx23.start[e]] - 1
-    assert np.array_equal(nbmat.apply_V(drow23), dcol23)
+    assert np.array_equal(idx23.swap_halves(drow23), dcol23)
 
 
 def test_D_row_leaf_entry_zero_and_T_rejects():

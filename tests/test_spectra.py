@@ -152,8 +152,6 @@ def test_classify_bad_parameters():
     spec = nb.Spectrum(values=np.array([1.0 + 0j]), source="B")
     with pytest.raises(BadParameterError):
         nb.classify_spectrum(spec, c=1.0)
-    with pytest.raises(BadParameterError):
-        nb.classify_spectrum(spec, c=3.0, delta=-0.1)
 
 
 def test_leading_diag():
