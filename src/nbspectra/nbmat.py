@@ -113,10 +113,10 @@ class EdgeOperator(LinearOperator):
         self.norm = 1.0 if transition else float(idx.degrees.max(initial=1) - 1)
 
     def _matmat(self, X):
-        # the product runs on X.T, one vector or a block of one vector per
-        # row, so a row block passed as Q.T is not copied
-        R = X.T
-        out = np.take((self.start_t @ X).T, self.end, axis=-1)
+        # the product runs on the rows of X.T, one vector per row, so a row
+        # block passed as Q.T is summed row by row and never copied
+        R = np.atleast_2d(X.T)
+        out = np.take([self.start_t @ r for r in R], self.end, axis=-1)
         m = self.m
         out[..., :m] -= R[..., m:]
         out[..., m:] -= R[..., :m]

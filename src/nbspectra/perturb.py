@@ -99,7 +99,9 @@ def match_and_verify(lambdas, mus, R: float, d_min: int | None = None,
 
     Both inputs must be sorted decreasing with equal length and mu_1 > 0.
     When degree bounds are supplied, checks the Frobenius-eigenvalue sanity
-    d_min - 1 <= mu_1 <= d_max - 1.
+    d_min - 1 <= mu_1 <= d_max - 1, with a slack of 1e-8 (d_max - 1) for
+    the eigensolver's rounding: mu_1 of the 3-regular K4 comes out as
+    2.0000000000000004.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
     mu = np.asarray(mus, dtype=np.float64)
@@ -116,7 +118,8 @@ def match_and_verify(lambdas, mus, R: float, d_min: int | None = None,
     dev = np.abs(lam - ratios)
     sane = None
     if d_min is not None and d_max is not None:
-        sane = bool(d_min - 1 <= mu[0] <= d_max - 1)
+        slack = 1e-8 * max(d_max - 1, 1)
+        sane = bool(d_min - 1 - slack <= mu[0] <= d_max - 1 + slack)
     return MatchReport(lambdas=lam, mu_ratios=ratios, deviations=dev,
                        within_R=dev <= R, R=float(R), mu1_sane=sane)
 
@@ -131,6 +134,7 @@ class BoundReport:
     R_numeric: float | None
     R_paper: float
     matches: list = field(default_factory=list)
+    mu1_sane: bool | None = None  # d_min - 1 <= mu_1 <= d_max - 1
 
 
 def rank_k_section(basis) -> LinearOperator:
@@ -177,4 +181,5 @@ def bound_report(idx, basis, mus, seed: int = 0) -> BoundReport:
         R_numeric=R_numeric,
         R_paper=closed,
         matches=report.rows(),
+        mu1_sane=report.mu1_sane,
     )

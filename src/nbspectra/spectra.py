@@ -33,10 +33,11 @@ AUTO_DENSE_CAP = 2000     # bound and pipeline solve dense up to this 2m
 TAU_IM = 1e-8             # a value is real when |imag| <= TAU_IM * (1 + |value|)
 
 # fixed rules of the block iteration in leading_real_eigenpairs
-ROUND_SWEEPS = 400        # sweeps per round before the block may grow
+ROUND_SWEEPS = 400        # products of M per round before the block may grow
 RESIDUAL_RTOL = 1e-6      # a Ritz pair is kept when its residual <= this * ||M||
 VALUE_RTOL = 1e-8         # leading Ritz values count as stable within this
-STABLE_WINDOW = 5         # ... over this many consecutive sweeps
+STABLE_WINDOW = 5         # ... over this many consecutive extractions
+WINDOW_PRODUCTS = 4       # products of M per extraction while the bulk window counts
 SMALL_DIM = 512           # operators up to this dimension may grow the block fully
 BULK_MARGIN = 0.05        # a value is structural beyond (1 + this) * bulk radius
 CHOLQR_MAX_COND = 1e6     # CholeskyQR2 falls back to Householder QR above this
@@ -209,8 +210,9 @@ class LeadingEigenResult:
     values: np.ndarray          # descending real eigenvalues, length k
     vectors: np.ndarray         # (dim, k) unit right eigenvectors
     residuals: np.ndarray       # ||M v - lambda v|| per pair
-    iterations: int
+    iterations: int             # products of M with the block
     block_size: int
+    extractions: int            # Rayleigh-Ritz steps
 
 
 def _householder_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
@@ -270,38 +272,45 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     """Largest real eigenvalues of a square operator by block orthogonal iteration.
 
     Runs power steps on a block of k + 4 vectors (at most the dimension) with
-    Rayleigh-Ritz extraction each sweep: the k + 2 largest real Ritz values
-    and their vectors v = Q s / ||Q s|| are extracted as one block, with the
-    residual ||M v - theta v|| taken per vector.  The rules below are module
-    constants.  A Ritz value is retained when its imaginary part is at most
-    TAU_IM * (1 + |value|) and its residual at most RESIDUAL_RTOL times the
-    scale of :func:`nbmat.norm_bound` (``M`` is a sparse matrix, whose scale
-    sqrt(||M||_1 ||M||_inf) is read off its entries, or an
-    :class:`nbmat.EdgeOperator`, which carries it; either way it is ||M||_2
-    for T, B and BV);
+    a Rayleigh-Ritz extraction after each product of ``M`` with the block
+    (a sweep), except while the bulk window below counts: the k + 2 largest
+    real Ritz values and their vectors v = Q s / ||Q s|| are extracted as
+    one block, with the residual ||M v - theta v|| taken per vector.  The
+    rules below are module constants.  A Ritz value is retained when its
+    imaginary part is at most TAU_IM * (1 + |value|) and its residual at
+    most RESIDUAL_RTOL times the scale of :func:`nbmat.norm_bound` (``M`` is
+    a sparse matrix, whose scale sqrt(||M||_1 ||M||_inf) is read off its
+    entries, or an :class:`nbmat.EdgeOperator`, which carries it; either way
+    it is ||M||_2 for T, B and BV);
     convergence requires the k leading retained values to be stable to
-    VALUE_RTOL over STABLE_WINDOW consecutive sweeps and to sit above the
-    modulus floor of the converged block (so no larger real eigenvalue can
-    hide below the block).  When a round of ROUND_SWEEPS sweeps stalls the
-    block is doubled: operators of dimension <= SMALL_DIM may grow to full
-    dimension, where the projection is exact, while larger ones get one
+    VALUE_RTOL over STABLE_WINDOW consecutive extractions and to sit above
+    the modulus floor of the converged block (so no larger real eigenvalue
+    can hide below the block).  When a round of ROUND_SWEEPS products stalls
+    the block is doubled: operators of dimension <= SMALL_DIM may grow to
+    full dimension, where the projection is exact, while larger ones get one
     doubling before the stall is treated as missing spectral separation.
-    ``max_iter`` bounds the total sweeps across rounds.  ``inner`` supplies a
-    diagonal metric for the orthogonalization (CholeskyQR2, see
-    :func:`_metric_orthonormalize`).  Deterministic for a given seed.
+    ``max_iter`` bounds the total products across rounds.  ``inner``
+    supplies a diagonal metric for the orthogonalization (CholeskyQR2, see
+    :func:`_metric_orthonormalize`).  Deterministic for a given seed.  The
+    result's ``iterations`` counts the products and ``extractions`` the
+    Rayleigh-Ritz steps.
 
     ``bulk_radius`` is the radius of the disk that holds all but the
     structural eigenvalues.  Given it, k >= 2 and a dimension above
     SMALL_DIM, the solve stops early once the k - 1 leading candidates pass
     the tests above and the k-th largest modulus among the Ritz values with
     positive real part has stayed at or below (1 + BULK_MARGIN) *
-    bulk_radius for ceil(ln sqrt(dim) / ln(1 + BULK_MARGIN)) consecutive
-    sweeps: an eigenvalue beyond that margin gains at least that factor per
-    sweep on the bulk, so by then it would have outgrown its 1/sqrt(dim)
-    share of the random start.  Values with nonpositive real part do not
-    count, because the caller keeps only positive reals.  Smaller operators
-    ignore the radius, because their block grows to the exact full
-    projection, which also finds real values inside the disk.
+    bulk_radius over ceil(ln sqrt(dim) / ln(1 + BULK_MARGIN)) products
+    between extractions that all found it there: an eigenvalue beyond that
+    margin gains at least that factor per product on the bulk, so by then
+    it would have outgrown its 1/sqrt(dim) share of the random start.
+    Because the argument holds per product, the solve extracts only every
+    WINDOW_PRODUCTS products while the window counts; in between it
+    rescales each vector to unit norm and orthonormalizes only before the
+    extraction (multiple-step subspace iteration).  Values with nonpositive
+    real part do not count, because the caller keeps only positive reals.
+    Smaller operators ignore the radius, because their block grows to the
+    exact full projection, which also finds real values inside the disk.
 
     Raises InsufficientRealRitzError (with partial result attached) when
     fewer than k real values stabilize, when the k-th stabilizes below the
@@ -324,17 +333,25 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     p = min(k + 4, nn)
     block_cap = nn if nn <= SMALL_DIM else 2 * (k + 4)
     # the block holds one vector per row, so every sweep runs along
-    # contiguous memory; the draws stay (nn, p) to keep the random stream
-    Q = _metric_orthonormalize(rng.standard_normal((nn, p)).T, d)
+    # contiguous memory; the draws stay (nn, p) to keep the random stream.
+    # X holds the rows that the next sweep orthonormalizes.
+    X = rng.standard_normal((nn, p)).T
 
-    total_it = 0
+    total_it = extractions = 0
     best = None     # retained pairs of the sweep that retained the most
     while True:
         history = deque(maxlen=STABLE_WINDOW)
-        inside = 0    # consecutive sweeps with the k-th positive Ritz in the disk
-        budget = min(ROUND_SWEEPS, max_iter - total_it)
-        for _ in range(budget):
-            total_it += 1
+        inside = 0    # products since the k-th positive Ritz entered the disk
+        end = min(total_it + ROUND_SWEEPS, max_iter)
+        while total_it < end:
+            # while the window counts, run ahead on rows rescaled to unit
+            # norm and orthonormalize only before the extraction
+            steps = min(WINDOW_PRODUCTS, end - total_it) if inside else 1
+            for _ in range(steps - 1):
+                X = (M @ (X / _row_norms(X)[:, None]).T).T
+            Q = _metric_orthonormalize(X, d)
+            total_it += steps
+            extractions += 1
             Y = (M @ Q.T).T
             H = Q @ (Y if d is None else Y * d).T
             theta, S = np.linalg.eig(H)
@@ -348,7 +365,8 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             res = _row_norms(S_rt @ Y - vals[:, None] * SQ) / nv
             SQ /= nv[:, None]
             cand = LeadingEigenResult(values=vals, vectors=SQ.T, residuals=res,
-                                      iterations=total_it, block_size=p)
+                                      iterations=total_it, block_size=p,
+                                      extractions=extractions)
             ok = np.nonzero(res <= RESIDUAL_RTOL * norm_m)[0]
             if len(ok) and (best is None or len(ok) >= len(best.values)):
                 best = _pairs(cand, ok)
@@ -359,13 +377,13 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                     return _pairs(cand, slice(k))
             if early:
                 kth = np.sort(np.where(theta.real > 0, np.abs(theta), 0.0))[-k]
-                inside = inside + 1 if kth <= bulk_edge else 0
+                inside = inside + steps if kth <= bulk_edge else 0
                 if inside >= bulk_window and _leading_stable(history, ok, k - 1):
                     raise InsufficientRealRitzError(
                         f"only {k - 1} real Ritz value(s) outside the bulk disk "
                         f"of radius {bulk_radius:.6g} after {total_it} sweeps, "
                         f"wanted {k}", found=_pairs(cand, slice(k - 1)))
-            Q = _metric_orthonormalize(Y, d)
+            X = Y
         # stalled: grow the block or give up
         p_new = min(2 * p, block_cap, nn)
         if p_new <= p or total_it >= max_iter:
@@ -373,6 +391,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                 raise NoConvergenceError(
                     f"no real Ritz value stabilized after {total_it} sweeps")
             best.iterations, best.block_size = total_it, p
+            best.extractions = extractions
             j = next((j for j in range(k, 0, -1)
                       if _leading_stable(history, ok, j)), 0)
             if j == k:      # stable, so the floor test failed
@@ -385,7 +404,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                 f"only {j} real Ritz value(s) stabilized, wanted {k}: "
                 f"no spectral separation", found=best)
         extra = rng.standard_normal((nn, p_new - p))
-        Q = _metric_orthonormalize(np.vstack([Q, extra.T]), d)
+        X = np.vstack([_metric_orthonormalize(X, d), extra.T])
         p = p_new
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from . import nbmat, spectra
-from .errors import DimensionCapError, NotEnoughPositiveRealsError
+from .errors import NotEnoughPositiveRealsError
 from .graph import (
     SimpleGraph,
     connected_components,
@@ -109,16 +110,31 @@ def suite_stochastic(g: SimpleGraph):
 
 
 def suite_svd(g: SimpleGraph):
+    """Singular values of B against their closed form, sparse at any size.
+
+    B V = End End^T - I is symmetric with eigenvalues d_j - 1 and -1 (2m - n
+    times), and the singular values of B are their moduli.  Lanczos checks
+    the two extreme eigenvalues.  The -1 multiplicity is dim ker End^T =
+    2m - rank End, and End, one unit entry per row, has the rank of the
+    number of distinct endpoints.
+    """
     idx = oriented_edges(g)
-    if 2 * idx.m > spectra.DENSE_CAP:
-        raise DimensionCapError(
-            f"dimension {2 * idx.m} exceeds dense cap {spectra.DENSE_CAP}")
-    B = nbmat.build_B(idx).toarray()
-    numeric = np.sort(np.linalg.svd(B, compute_uv=False))[::-1]
-    closed = spectra.closed_form_singular_values_B(idx)
-    resid = float(np.max(np.abs(numeric - closed))) if len(closed) else 0.0
-    return [_finding("svd", "singular values of B match closed form",
-                     resid, TOL)]
+    n2 = 2 * idx.m
+    closed = np.concatenate([idx.degrees - 1.0, -np.ones(max(n2 - idx.n, 0))])
+    End = nbmat.build_End(idx)
+    BV = End @ End.T - sp.eye(n2, format="csr")
+    hi = lo = 0.0       # ARPACK rejects a zero operator
+    if BV.nnz:
+        v0 = np.random.default_rng(0).standard_normal(n2)
+        hi, lo = (eigsh(BV, k=1, which=which, tol=0, v0=v0,
+                        return_eigenvectors=False)[0] for which in ("LA", "SA"))
+    resid = max(abs(hi - closed.max(initial=0.0)),
+                abs(lo - closed.min(initial=0.0)))
+    rank = np.unique(End.indices).size
+    return [_finding("svd", "extreme eigenvalues of B V match closed form",
+                     resid, TOL),
+            _finding("svd", "-1 multiplicity of B V == 2m - n",
+                     abs(rank - idx.n), 0.0)]
 
 
 def suite_sums(g: SimpleGraph):

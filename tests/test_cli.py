@@ -179,13 +179,30 @@ def test_verify_graph_without_nodes_exit_2(tmp_path, capsys):
         assert "graph has no nodes" in capsys.readouterr().err
 
 
-def test_verify_svd_dimension_cap_exit_2(tmp_path, monkeypatch):
-    # K4 has 2m = 12; the svd suite must refuse to densify B above the cap
+def test_verify_dimension_cap_exit_2(tmp_path, monkeypatch):
+    # K4 has 2m = 12; the theorem1 suite must refuse to densify T above the cap
     monkeypatch.setattr(spectra, "DENSE_CAP", 11)
     with pytest.raises(DimensionCapError):
-        verify.run_suites(k4(), ["svd"])
+        verify.run_suites(k4(), ["theorem1"])
     graph = write_k4(tmp_path)
-    assert main(["verify", "--graph", graph, "--suites", "svd"]) == 2
+    assert main(["verify", "--graph", graph, "--suites", "theorem1"]) == 2
+
+
+def test_verify_svd_runs_past_the_dense_cap(tmp_path, monkeypatch):
+    # the svd suite checks B V = End End^T - I sparsely, so no cap applies
+    monkeypatch.setattr(spectra, "DENSE_CAP", 11)
+    ok, findings = verify.run_suites(k4(), ["svd"])
+    assert ok and [f["check"] for f in findings] == [
+        "extreme eigenvalues of B V match closed form",
+        "-1 multiplicity of B V == 2m - n"]
+    graph = write_k4(tmp_path)
+    assert main(["verify", "--graph", graph, "--suites", "svd"]) == 0
+    # two isolated nodes: End has rank n - 2, so -1 is 2 short of 2m - n
+    ok, findings = verify.run_suites(petersen_with_tails(), ["svd"])
+    assert not ok and findings[1]["residual"] == 2.0
+    # 2m < n: the closed form fails its checks instead of raising
+    ok, findings = verify.run_suites(nb.from_edge_list([(0, 1)], 3), ["svd"])
+    assert [f["residual"] for f in findings] == [1.0, 1.0]
 
 
 # the exit codes of the package errors, as the CLI has always mapped them
@@ -217,6 +234,16 @@ def test_bound_k4(tmp_path):
     assert rep["R_paper"] == 0.5
     assert all(m["deviation"] <= 1e-10 for m in rep["matches"])
     assert all(m["within_R"] for m in rep["matches"])
+
+
+def test_bound_reports_the_mu1_sanity_check(tmp_path):
+    # mu_1 of B lies in [d_min - 1, d_max - 1]: 2 on the 3-regular K4
+    graph = write_k4(tmp_path)
+    out = tmp_path / "b.json"
+    assert main(["bound", "--graph", graph, "--out", str(out)]) == 0
+    rep = json.loads(read_bytes(out))
+    assert rep["mu1_sane"] is True
+    assert list(rep)[-1] == "mu1_sane"
 
 
 def test_cluster_with_truth_overlap_range(tmp_path):

@@ -109,6 +109,14 @@ def test_match_and_verify_errors_and_sanity():
     assert rep.mu1_sane is False                           # 5 > d_max - 1
 
 
+def test_mu1_sanity_allows_the_eigensolver_rounding():
+    # the dense mu_1 of the 3-regular K4 is 2.0000000000000004
+    rep = nb.match_and_verify([1.0], [2.0000000000000004], 0.5, d_min=3, d_max=3)
+    assert rep.mu1_sane is True
+    rep = nb.match_and_verify([1.0], [2.0 + 1e-6], 0.5, d_min=3, d_max=3)
+    assert rep.mu1_sane is False
+
+
 def test_bound_report_k4():
     g = k4()
     idx = nb.oriented_edges(g)

@@ -252,6 +252,51 @@ def test_leading_stops_once_kth_ritz_value_is_in_bulk():
         assert_ritz_contract(M, found)
 
 
+def _null_T():
+    """T of the 2-core of one null-regime sample (a=11, b=9, n=2000), with
+    its D_row and bulk radius 1/sqrt(c - 1)."""
+    g = nb.sample(nb.SbmParams(n=2000, k=2, a=11.0, b=9.0, seed=0)).graph
+    idx = nb.oriented_edges(nb.two_core(g)[0])
+    return (nbmat.T_operator(idx), nb.build_D_row(idx),
+            1.0 / math.sqrt(2.0 * idx.m / idx.n - 1.0))
+
+
+def test_leading_batches_products_while_the_bulk_window_counts(monkeypatch):
+    householder = []
+    orig = spectra._householder_orthonormalize
+
+    def spy(X, d):
+        householder.append(X.shape)
+        return orig(X, d)
+
+    monkeypatch.setattr(spectra, "_householder_orthonormalize", spy)
+    T, drow, radius = _null_T()
+    for M, kwargs in ((_bulk_operator(0.3), {"bulk_radius": 0.3}),
+                      (T, {"inner": drow, "bulk_radius": radius})):
+        assert M.shape[0] > spectra.SMALL_DIM
+        with pytest.raises(InsufficientRealRitzError,
+                           match="bulk disk") as info:
+            nb.leading_real_eigenpairs(M, 2, **kwargs)
+        found = info.value.found
+        window = _bulk_window(M.shape[0])
+        assert found.extractions < found.iterations
+        assert (window <= found.iterations
+                <= window + spectra.STABLE_WINDOW + spectra.WINDOW_PRODUCTS)
+        assert found.values == pytest.approx([1.0], abs=1e-10)
+        assert_ritz_contract(M, found)
+    # the batched products keep CholeskyQR2 well conditioned
+    assert householder == []
+
+
+def test_leading_counts_one_extraction_per_product_outside_the_window():
+    M = _bulk_operator(0.3)
+    with pytest.raises(InsufficientRealRitzError) as info:
+        nb.leading_real_eigenpairs(M, 2)
+    assert info.value.found.extractions == info.value.found.iterations == 800
+    res = nb.leading_real_eigenpairs(_bulk_operator(0.3, extra=(0.36,)), 2)
+    assert res.extractions == res.iterations == 77
+
+
 def test_leading_bulk_radius_keeps_an_eigenvalue_outside_the_disk():
     M = _bulk_operator(0.3, extra=(1.2 * 0.3,))
     res = nb.leading_real_eigenpairs(M, 2, bulk_radius=0.3)
