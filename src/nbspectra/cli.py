@@ -74,8 +74,7 @@ def cmd_spectrum(args) -> int:
     M = _build_matrix(idx, "T" if on_T else args.matrix)
     c = 2.0 * g.m / g.n if g.n else 0.0
     if args.mode == "dense":
-        spec, _ = spectra.dense_eigendecomposition(M, source=args.matrix,
-                                                   cap=args.dense_cap)
+        spec, _ = spectra.dense_eigendecomposition(M, source=args.matrix)
     else:
         vals = spectra.leading_real_eigenpairs(M, args.k, seed=seed).values
         if on_T:
@@ -156,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["dense", "iterative"], default="dense")
     p.add_argument("--k", type=int, default=2,
                    help="eigenpair count for iterative mode")
-    p.add_argument("--dense-cap", type=int, default=spectra.DENSE_CAP)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)

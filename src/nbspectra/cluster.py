@@ -30,8 +30,10 @@ from .graph import OrientedEdgeIndex, SimpleGraph, oriented_edges, two_core
 from .sbm import SbmParams, sample
 from .spectra import RealEigenBasis
 
-EDGE_VARIANTS = ("raw_z", "drow_sqrt", "drow_invsqrt")
 LOW_SIGNAL_RATIO = 1e-6
+N_INIT = 10               # k-means++ restarts; the best objective is kept
+MAX_LLOYD = 300           # Lloyd iterations per restart
+LLOYD_RTOL = 1e-9         # a restart ends once the objective drops by at most this
 
 
 @dataclass
@@ -40,7 +42,6 @@ class Embedding:
 
     points: np.ndarray           # (N, d)
     weights: np.ndarray          # (N,)
-    entity: str                  # 'edge' or 'node'
     low_signal: bool = False
 
 
@@ -52,58 +53,37 @@ class ClusterAssignment:
     n_iter: int = 0
 
 
-def edge_embedding(basis: RealEigenBasis, idx: OrientedEdgeIndex,
-                   variant: str = "drow_sqrt", weighting: str = "drow",
-                   drop_trivial: bool = True) -> Embedding:
-    """One row per oriented edge from the eigenbasis columns.
+def edge_embedding(basis: RealEigenBasis, idx: OrientedEdgeIndex) -> Embedding:
+    """One row per oriented edge: the eigenbasis columns scaled row-wise by
+    sqrt(d_end(e) - 1), with the D_row diagonal as weights.
 
-    variant 'raw_z' takes the columns as they are, 'drow_sqrt' scales row e
-    by sqrt(d_end(e) - 1), 'drow_invsqrt' by its inverse.  Weights are all
-    ones or the D_row diagonal.  The column of the trivial constant pair
-    carries no cluster signal and is dropped by default.
+    The column of the trivial constant pair carries no cluster signal and is
+    dropped, unless it is the basis's only column.
     """
-    if variant not in EDGE_VARIANTS:
-        raise BadParameterError(f"unknown variant {variant!r}")
-    if weighting not in ("uniform", "drow"):
-        raise BadParameterError(f"unknown weighting {weighting!r}")
     drow = nbmat.build_D_row(idx)
-    Z = basis.Z
-    if variant == "drow_sqrt":
-        pts = np.sqrt(drow)[:, None] * Z
-    elif variant == "drow_invsqrt":
-        pts = Z / np.sqrt(drow)[:, None]
-    else:
-        pts = Z.copy()
-    if drop_trivial and pts.shape[1] > 1:
+    pts = np.sqrt(drow)[:, None] * basis.Z
+    if pts.shape[1] > 1:
         pts = pts[:, 1:]
-    weights = drow.copy() if weighting == "drow" else np.ones(2 * idx.m)
-    return Embedding(points=pts, weights=weights, entity="edge")
+    return Embedding(points=pts, weights=drow)
 
 
-def deflate_to_nodes(basis: RealEigenBasis, idx: OrientedEdgeIndex,
-                     side: str = "end", drop_trivial: bool = True) -> Embedding:
-    """Aggregate scaled edge vectors to one representative row per node.
+def deflate_to_nodes(basis: RealEigenBasis, idx: OrientedEdgeIndex) -> Embedding:
+    """Aggregate the edge embedding to one representative row per node.
 
-    Node j, column i holds (1/d_j) * sum over edges with the chosen side at j
-    of sqrt(d_end(e) - 1) * z_i[e].  Weights are node degrees.  low_signal
-    fires when the deflated matrix norm falls below 1e-6 times the edge-level
-    norm of the same columns (exact end-sum cancellation nulls the map).
+    Node j, column i holds (1/d_j) * sum over edges e ending at j of row e,
+    column i of :func:`edge_embedding`.  Weights are node degrees.
+    low_signal fires when the deflated matrix norm falls below 1e-6 times
+    the edge-level norm of the same columns (exact end-sum cancellation
+    nulls the map).
     """
-    if side not in ("end", "start"):
-        raise BadParameterError(f"unknown side {side!r}")
-    drow = nbmat.build_D_row(idx)
-    Y = np.sqrt(drow)[:, None] * basis.Z
-    if drop_trivial and Y.shape[1] > 1:
-        Y = Y[:, 1:]
-    group = idx.end if side == "end" else idx.start
+    Y = edge_embedding(basis, idx).points
     deg = idx.degrees.astype(np.float64)
     pts = np.empty((idx.n, Y.shape[1]))
     for i in range(Y.shape[1]):
-        pts[:, i] = np.bincount(group, weights=Y[:, i], minlength=idx.n) / deg
+        pts[:, i] = np.bincount(idx.end, weights=Y[:, i], minlength=idx.n) / deg
     edge_norm = float(np.linalg.norm(Y))
     low = bool(np.linalg.norm(pts) < LOW_SIGNAL_RATIO * max(edge_norm, 1e-300))
-    return Embedding(points=pts, weights=deg.copy(), entity="node",
-                     low_signal=low)
+    return Embedding(points=pts, weights=deg, low_signal=low)
 
 
 def _kmeanspp_seeds(X, w, k, rng):
@@ -131,15 +111,17 @@ def _assign(X, centers):
     return labels, d2[np.arange(len(X)), labels]
 
 
-def weighted_kmeans(emb: Embedding, k: int, seed: int = 0, n_init: int = 10,
-                    max_iter: int = 300, tol: float = 1e-9) -> ClusterAssignment:
+def weighted_kmeans(emb: Embedding, k: int, seed: int = 0) -> ClusterAssignment:
     """Weighted Lloyd iterations from weighted k-means++ seeding.
 
     Weights enter the seeding probabilities, the centroid updates, and the
-    objective sum w_i ||x_i - c_{label_i}||^2.  Runs n_init restarts and
-    keeps the best objective; empty clusters are reseeded at the point with
-    the largest weighted distance.  Deterministic for a given seed.  The
-    objective is checked to be nonincreasing across iterations.
+    objective sum w_i ||x_i - c_{label_i}||^2.  Runs N_INIT restarts of at
+    most MAX_LLOYD iterations, each stopping once an iteration lowers the
+    objective by at most LLOYD_RTOL relative, and keeps the best objective;
+    empty clusters are reseeded at the point with the largest weighted
+    distance.
+    Deterministic for a given seed.  The objective is checked to be
+    nonincreasing across iterations.
     """
     X = np.asarray(emb.points, dtype=np.float64)
     w = np.asarray(emb.weights, dtype=np.float64)
@@ -149,8 +131,6 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0, n_init: int = 10,
         raise BadParameterError("weights must be nonnegative, not all zero")
     if not (1 <= k <= len(X)):
         raise BadParameterError(f"k={k} outside [1, {len(X)}]")
-    if n_init < 1 or max_iter < 1:
-        raise BadParameterError("n_init and max_iter must be positive")
     rest = X    # k - 1 passes drop one distinct row each; np.unique sorts all
     for _ in range(k - 1):
         rest = rest[(rest != rest[0]).any(axis=1)]
@@ -159,12 +139,12 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0, n_init: int = 10,
 
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
+    for _ in range(N_INIT):
         centers = _kmeanspp_seeds(X, w, k, rng)
         labels, d2 = _assign(X, centers)
         prev_obj = float((w * d2).sum())
         n_iter = 0
-        for n_iter in range(1, max_iter + 1):
+        for n_iter in range(1, MAX_LLOYD + 1):
             for j in range(k):
                 mask = labels == j
                 wj = w[mask].sum()
@@ -178,7 +158,7 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0, n_init: int = 10,
             if obj > prev_obj + 1e-12 * max(1.0, prev_obj):
                 raise NoConvergenceError(
                     f"k-means objective increased: {prev_obj} -> {obj}")
-            if prev_obj - obj <= tol * max(1.0, prev_obj):
+            if prev_obj - obj <= LLOYD_RTOL * max(1.0, prev_obj):
                 prev_obj = obj
                 break
             prev_obj = obj
@@ -190,8 +170,9 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0, n_init: int = 10,
 
 
 def node_labels_from_edge_labels(edge_labels, idx: OrientedEdgeIndex,
-                                 k: int | None = None) -> np.ndarray:
-    """Each node takes the most frequent label among edges ending there.
+                                 k: int) -> np.ndarray:
+    """Each node takes the most frequent of the k labels among edges ending
+    there.
 
     Ties go to the lowest label index.
     """
@@ -199,8 +180,7 @@ def node_labels_from_edge_labels(edge_labels, idx: OrientedEdgeIndex,
     if edge_labels.shape[0] != 2 * idx.m:
         raise LengthMismatchError(
             f"expected {2 * idx.m} edge labels, got {edge_labels.shape[0]}")
-    nlab = int(edge_labels.max()) + 1 if k is None else k
-    counts = np.zeros((idx.n, nlab), dtype=np.int64)
+    counts = np.zeros((idx.n, k), dtype=np.int64)
     np.add.at(counts, (idx.end, edge_labels), 1)
     if np.any(counts.sum(axis=1) == 0):
         missing = int(np.nonzero(counts.sum(axis=1) == 0)[0][0])
@@ -212,7 +192,8 @@ def overlap(pred, truth, k: int) -> float:
     """Permutation-maximized accuracy rescaled so chance = 0 and perfect = 1.
 
     Ranges over [-1/(k-1), 1]; the permutation is found by optimal
-    assignment on the k x k confusion matrix.
+    assignment on the k x k confusion matrix.  Every label, predicted or
+    true, must lie in [0, k).
     """
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
@@ -221,6 +202,11 @@ def overlap(pred, truth, k: int) -> float:
             f"{pred.shape[0]} predictions vs {truth.shape[0]} truths")
     if k < 2:
         raise BadParameterError(f"k must be at least 2, got {k}")
+    for name, lab in (("predicted", pred), ("true", truth)):
+        if lab.size and not 0 <= lab.min() <= lab.max() < k:
+            raise BadParameterError(
+                f"{name} labels must lie in [0, {k}), got {lab.min()} to "
+                f"{lab.max()}")
     conf = np.zeros((k, k), dtype=np.int64)
     np.add.at(conf, (pred, truth), 1)
     rows, cols = linear_sum_assignment(-conf)
@@ -238,9 +224,9 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     (CountMismatchError otherwise), and is restricted to the core.
     Eigenpairs of T and the leading reals of B are solved dense when 2m <=
     spectra.AUTO_DENSE_CAP, iteratively otherwise.  mode 'edge_vote' clusters
-    the 'drow_sqrt' oriented-edge embedding with D_row weights and
-    majority-votes per end node; 'deflate' clusters node representatives and
-    falls back to edge voting when the deflation loses the signal.  The
+    the oriented-edge embedding (:func:`edge_embedding`) and majority-votes
+    per end node; 'deflate' clusters node representatives and falls back to
+    edge voting when the deflation loses the signal.  The
     eigenbasis of T is solved once: if only j < k positive real eigenvalues
     are found, the run degrades to the j-dimensional basis that solve
     already assembled (recorded in the fallback flag) instead of failing;
@@ -292,7 +278,7 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     used_mode = mode
     emb = None
     if mode == "deflate":
-        emb = deflate_to_nodes(basis, idx, side="end")
+        emb = deflate_to_nodes(basis, idx)
         if emb.low_signal:
             fallback = True
             used_mode = "edge_vote"

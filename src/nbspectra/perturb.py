@@ -9,7 +9,7 @@ using only d_min, d_max, and the average degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
@@ -79,7 +79,7 @@ class MatchReport:
     deviations: np.ndarray       # |lambda_i - mu_i / mu_1|
     within_R: np.ndarray         # deviation <= R per index
     R: float
-    mu1_sane: bool | None = None  # d_min - 1 <= mu_1 <= d_max - 1 when known
+    mu1_sane: bool               # d_min - 1 <= mu_1 <= d_max - 1
 
     def rows(self):
         return [
@@ -93,14 +93,14 @@ class MatchReport:
         ]
 
 
-def match_and_verify(lambdas, mus, R: float, d_min: int | None = None,
-                     d_max: int | None = None) -> MatchReport:
+def match_and_verify(lambdas, mus, R: float, d_min: int,
+                     d_max: int) -> MatchReport:
     """Pair lambda_i with mu_i / mu_1 in decreasing order and flag deviations.
 
     Both inputs must be sorted decreasing with equal length and mu_1 > 0.
-    When degree bounds are supplied, checks the Frobenius-eigenvalue sanity
-    d_min - 1 <= mu_1 <= d_max - 1, with a slack of 1e-8 (d_max - 1) for
-    the eigensolver's rounding: mu_1 of the 3-regular K4 comes out as
+    Checks the Frobenius-eigenvalue sanity d_min - 1 <= mu_1 <= d_max - 1
+    on the graph's degree bounds, with a slack of 1e-8 (d_max - 1) for the
+    eigensolver's rounding: mu_1 of the 3-regular K4 comes out as
     2.0000000000000004.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
@@ -116,10 +116,8 @@ def match_and_verify(lambdas, mus, R: float, d_min: int | None = None,
         raise BadParameterError(f"mu_1 must be positive, got {mu[0]}")
     ratios = mu / mu[0]
     dev = np.abs(lam - ratios)
-    sane = None
-    if d_min is not None and d_max is not None:
-        slack = 1e-8 * max(d_max - 1, 1)
-        sane = bool(d_min - 1 - slack <= mu[0] <= d_max - 1 + slack)
+    slack = 1e-8 * max(d_max - 1, 1)
+    sane = bool(d_min - 1 - slack <= mu[0] <= d_max - 1 + slack)
     return MatchReport(lambdas=lam, mu_ratios=ratios, deviations=dev,
                        within_R=dev <= R, R=float(R), mu1_sane=sane)
 
@@ -133,8 +131,8 @@ class BoundReport:
     kappa_bound_gap: float       # sqrt(c - 1)/(d_min - 1)
     R_numeric: float | None
     R_paper: float
-    matches: list = field(default_factory=list)
-    mu1_sane: bool | None = None  # d_min - 1 <= mu_1 <= d_max - 1
+    matches: list
+    mu1_sane: bool               # d_min - 1 <= mu_1 <= d_max - 1
 
 
 def rank_k_section(basis) -> LinearOperator:

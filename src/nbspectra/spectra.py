@@ -28,11 +28,13 @@ from .errors import (
 )
 from .graph import OrientedEdgeIndex, SimpleGraph, connected_components
 
-DENSE_CAP = 6000
+DENSE_CAP = 6000          # no dense decomposition above this dimension
 AUTO_DENSE_CAP = 2000     # bound and pipeline solve dense up to this 2m
 TAU_IM = 1e-8             # a value is real when |imag| <= TAU_IM * (1 + |value|)
+CLUSTER_RTOL = 1e-7       # consecutive real eigenvalues this close are one cluster
 
 # fixed rules of the block iteration in leading_real_eigenpairs
+MAX_PRODUCTS = 2000       # products of M across all rounds
 ROUND_SWEEPS = 400        # products of M per round before the block may grow
 RESIDUAL_RTOL = 1e-6      # a Ritz pair is kept when its residual <= this * ||M||
 VALUE_RTOL = 1e-8         # leading Ritz values count as stable within this
@@ -90,25 +92,24 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((-values.imag, -values.real))
 
 
-def dense_eigendecomposition(M, want_vectors: bool = False, cap: int = DENSE_CAP,
-                             source: str = ""):
+def dense_eigendecomposition(M, want_vectors: bool = False, source: str = ""):
     """Full spectrum of a square real matrix, optionally with right vectors.
 
     Exactly symmetric inputs go through the symmetric path and come back with
     real eigenvalues and orthonormal vectors.  Eigenvectors of real
     eigenvalues are returned with all-real coordinates.  Raises
-    DimensionCapError above ``cap``, before densifying, and NoConvergenceError
-    if the QR iteration fails or a residual exceeds 1e-8 times the scale
-    sqrt(||M||_1 ||M||_inf) of :func:`nbmat.norm_bound`, which is ||M||_2
-    for T, B and BV.
+    DimensionCapError above DENSE_CAP (read at call time), before
+    densifying, and NoConvergenceError if the QR iteration fails or a
+    residual exceeds 1e-8 times the scale sqrt(||M||_1 ||M||_inf) of
+    :func:`nbmat.norm_bound`, which is ||M||_2 for T, B and BV.
     """
     if not sp.issparse(M):
         M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise BadParameterError(f"expected a square matrix, got shape {M.shape}")
     nn = M.shape[0]
-    if nn > cap:
-        raise DimensionCapError(f"dimension {nn} exceeds dense cap {cap}")
+    if nn > DENSE_CAP:
+        raise DimensionCapError(f"dimension {nn} exceeds dense cap {DENSE_CAP}")
     A = M.toarray() if sp.issparse(M) else M
     if nn == 0:
         spec = Spectrum(values=np.array([], dtype=complex), source=source)
@@ -267,7 +268,7 @@ def _pairs(cand: LeadingEigenResult, cols) -> LeadingEigenResult:
 
 
 def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
-                            seed: int = 0, max_iter: int = 2000,
+                            seed: int = 0,
                             bulk_radius: float | None = None) -> LeadingEigenResult:
     """Largest real eigenvalues of a square operator by block orthogonal iteration.
 
@@ -289,7 +290,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     the block is doubled: operators of dimension <= SMALL_DIM may grow to
     full dimension, where the projection is exact, while larger ones get one
     doubling before the stall is treated as missing spectral separation.
-    ``max_iter`` bounds the total products across rounds.  ``inner``
+    MAX_PRODUCTS bounds the total products across rounds.  ``inner``
     supplies a diagonal metric for the orthogonalization (CholeskyQR2, see
     :func:`_metric_orthonormalize`).  Deterministic for a given seed.  The
     result's ``iterations`` counts the products and ``extractions`` the
@@ -342,7 +343,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     while True:
         history = deque(maxlen=STABLE_WINDOW)
         inside = 0    # products since the k-th positive Ritz entered the disk
-        end = min(total_it + ROUND_SWEEPS, max_iter)
+        end = min(total_it + ROUND_SWEEPS, MAX_PRODUCTS)
         while total_it < end:
             # while the window counts, run ahead on rows rescaled to unit
             # norm and orthonormalize only before the extraction
@@ -386,7 +387,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             X = Y
         # stalled: grow the block or give up
         p_new = min(2 * p, block_cap, nn)
-        if p_new <= p or total_it >= max_iter:
+        if p_new <= p or total_it >= MAX_PRODUCTS:
             if best is None:
                 raise NoConvergenceError(
                     f"no real Ritz value stabilized after {total_it} sweeps")
@@ -418,11 +419,11 @@ class RealEigenBasis:
     so Z^T W = I.
     Diagnostics carry, per pair: the reversal pairing z'Vz, the squared norm,
     the deviation |z'Vz + lambda| from the exact-pairing regime, the
-    antisymmetry defect ||z + Vz||, the eigen-residual ||Tz - lambda z||, and
-    per-node start/end sums.  The eigen-residual is zero when eigenvectors at
-    distinct eigenvalues are naturally D_row-orthogonal (e.g. K4); otherwise
-    the cross-eigenvalue orthogonalization correction shows up there and is
-    reported rather than hidden.
+    eigen-residual ||Tz - lambda z||, and per-node start/end sums.  The
+    eigen-residual is zero when eigenvectors at distinct eigenvalues are
+    naturally D_row-orthogonal (e.g. K4); otherwise the cross-eigenvalue
+    orthogonalization correction shows up there and is reported rather than
+    hidden.
     """
 
     k: int
@@ -443,19 +444,25 @@ def node_sums(z: np.ndarray, idx: OrientedEdgeIndex):
 
 
 def closed_form_singular_values_B(idx: OrientedEdgeIndex) -> np.ndarray:
-    """Singular values of B: each d_j - 1 once, plus 1 repeated 2m - n times."""
-    vals = np.concatenate([
-        (idx.degrees - 1).astype(np.float64),
-        np.ones(2 * idx.m - idx.n),
-    ])
+    """Singular values of B, descending: |d_j - 1| once per node j with
+    d_j >= 1, plus 1 repeated 2m - n+ times, n+ the number of such nodes.
+
+    B V = End End^T - I is symmetric, and End End^T holds one all-ones
+    block per such node, on the edges ending there, so its eigenvalues are
+    each d_j once and 0 with multiplicity 2m - n+; the singular values of B
+    are the moduli of those of B V.
+    """
+    deg = idx.degrees[idx.degrees >= 1]
+    vals = np.concatenate([np.abs(deg - 1.0), np.ones(2 * idx.m - len(deg))])
     return np.sort(vals)[::-1]
 
 
-def _cluster_real_values(vals: np.ndarray, rel_tol: float = 1e-7):
-    """Group consecutive (descending) values within relative tolerance."""
+def _cluster_real_values(vals: np.ndarray):
+    """Group consecutive (descending) values within CLUSTER_RTOL."""
     clusters, current = [], [0]
     for i in range(1, len(vals)):
-        if abs(vals[i] - vals[current[-1]]) <= rel_tol * max(1.0, abs(vals[i])):
+        gap = abs(vals[i] - vals[current[-1]])
+        if gap <= CLUSTER_RTOL * max(1.0, abs(vals[i])):
             current.append(i)
         else:
             clusters.append(current)
@@ -466,8 +473,7 @@ def _cluster_real_values(vals: np.ndarray, rel_tol: float = 1e-7):
 
 def _positive_real_pairs_dense(T, k: int):
     """Leading positive real eigenpairs of T: at least k if there are, else all."""
-    spec, V = dense_eigendecomposition(T, want_vectors=True, cap=DENSE_CAP,
-                                       source="T")
+    spec, V = dense_eigendecomposition(T, want_vectors=True, source="T")
     w = spec.values
     pos = np.nonzero(is_real(w) & (w.real > 1e-10))[0]
     order = pos[np.argsort(-w.real[pos])]
@@ -505,9 +511,9 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     iteration on the matrix-free T (:func:`nbmat.T_operator`) under the
     D_row metric, given the bulk radius 1/sqrt(c - 1) with c = 2m/n so that
     it stops once the k-th Ritz value has settled inside the bulk disk (see
-    leading_real_eigenpairs); dense decompositions are capped at DENSE_CAP,
-    read at call time.  Requires a connected 2-core that is not a cycle,
-    checked from the index itself.
+    leading_real_eigenpairs); dense decompositions are capped at DENSE_CAP.
+    Requires a connected 2-core that is not a cycle, checked from the index
+    itself.
 
     The trivial pair is pinned analytically: values[0] = 1 and Z[:, 0] is the
     constant vector scaled so z1' D_row z1 = 1; its left partner is the
@@ -634,9 +640,7 @@ def _basis_from_pairs(idx: OrientedEdgeIndex, T, drow: np.ndarray,
         "pairing": g_pair,
         "norm_sq": np.sum(Z * Z, axis=0),
         "pairing_deviation": np.abs(g_pair + values),
-        "antisymmetry": np.linalg.norm(Z + Zbrev, axis=0),
         "eigen_residual": residuals,
-        "left_constants": np.where(np.abs(g_pair) > 1e-300, 1.0 / g_pair, np.inf),
         "start_sums": start_sums,
         "end_sums": end_sums,
     }

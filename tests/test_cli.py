@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -180,12 +181,14 @@ def test_verify_graph_without_nodes_exit_2(tmp_path, capsys):
 
 
 def test_verify_dimension_cap_exit_2(tmp_path, monkeypatch):
-    # K4 has 2m = 12; the theorem1 suite must refuse to densify T above the cap
+    # K4 has 2m = 12; the dense suites must refuse to densify above the cap,
+    # which they read at call time
     monkeypatch.setattr(spectra, "DENSE_CAP", 11)
-    with pytest.raises(DimensionCapError):
-        verify.run_suites(k4(), ["theorem1"])
     graph = write_k4(tmp_path)
-    assert main(["verify", "--graph", graph, "--suites", "theorem1"]) == 2
+    for suite in ("theorem1", "sums", "bipartite", "components"):
+        with pytest.raises(DimensionCapError):
+            verify.run_suites(k4(), [suite])
+        assert main(["verify", "--graph", graph, "--suites", suite]) == 2
 
 
 def test_verify_svd_runs_past_the_dense_cap(tmp_path, monkeypatch):
@@ -261,6 +264,18 @@ def test_cluster_with_truth_overlap_range(tmp_path):
     labels = fileio.read_labels(str(assign))
     g = fileio.read_graph(str(d / "graph.tsv"))
     assert len(labels) == g.n
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_cluster_truth_label_outside_k_exit_2(bad, tmp_path, capsys):
+    graph = write_k4(tmp_path)
+    truth = str(tmp_path / "truth.tsv")
+    fileio.write_text_atomic(truth, fileio.labels_to_text([0, 0, 1, bad]))
+    assert main(["cluster", "--graph", graph, "--k", "2", "--truth", truth,
+                 "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: true labels must lie in [0, 2)")
+    assert "Traceback" not in err
 
 
 def test_bound_and_cluster_agree(tmp_path):
@@ -347,3 +362,22 @@ def test_seed_env_var(tmp_path, monkeypatch):
                  "--out-dir", str(d3)]) == 0
     assert read_bytes(d1 / "graph.tsv") == read_bytes(d2 / "graph.tsv")
     assert read_bytes(d1 / "graph.tsv") != read_bytes(d3 / "graph.tsv")
+
+
+def test_subcommand_options_are_pinned():
+    # each option is a setting a user can pass; a new one is a design change
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings}
+               - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert options == {
+        "gen": {"--n", "--k", "--a", "--b", "--seed", "--out-dir"},
+        "spectrum": {"--graph", "--matrix", "--mode", "--k", "--seed",
+                     "--out"},
+        "verify": {"--graph", "--suites", "--out"},
+        "bound": {"--graph", "--k", "--seed", "--out"},
+        "cluster": {"--graph", "--k", "--mode", "--truth", "--assign",
+                    "--seed", "--out"},
+        "pipeline": {"--graph", "--truth", "--n", "--a", "--b", "--k",
+                     "--mode", "--seed", "--out"},
+    }

@@ -11,46 +11,44 @@ from nbspectra.errors import (
     LengthMismatchError,
 )
 
-from conftest import assert_ritz_contract, k4, petersen, petersen_with_tails
+from conftest import assert_ritz_contract, k4, k23, petersen, petersen_with_tails
 
 
-def _k4_basis():
+def _k4_basis(k=2):
     g = k4()
     idx = nb.oriented_edges(g)
-    return nb.real_eigenbasis_T(idx, 2), idx
+    return nb.real_eigenbasis_T(idx, k), idx
 
 
 def test_edge_embedding_k4_weights():
     basis, idx = _k4_basis()
-    emb = nb.edge_embedding(basis, idx, variant="raw_z", weighting="drow")
+    emb = nb.edge_embedding(basis, idx)
     assert np.array_equal(emb.weights, np.full(12, 2.0))
     assert emb.points.shape == (12, 1)            # trivial column dropped
-    assert emb.entity == "edge"
 
 
 def test_edge_embedding_trivial_column_constant():
-    basis, idx = _k4_basis()
-    emb = nb.edge_embedding(basis, idx, variant="drow_sqrt",
-                            weighting="uniform", drop_trivial=False)
+    # a k = 1 basis holds only the trivial column, so the embedding keeps it
+    basis, idx = _k4_basis(k=1)
+    emb = nb.edge_embedding(basis, idx)
+    assert emb.points.shape == (12, 1)
     col = emb.points[:, 0]
     assert np.max(np.abs(col - col[0])) <= 1e-12  # constant on a regular graph
-    assert np.array_equal(emb.weights, np.ones(12))
+    assert col[0] == pytest.approx(np.sqrt(2.0 / 24.0), rel=1e-12)
 
 
-def test_edge_embedding_variants_differ():
-    basis, idx = _k4_basis()
-    raw = nb.edge_embedding(basis, idx, variant="raw_z").points
-    up = nb.edge_embedding(basis, idx, variant="drow_sqrt").points
-    down = nb.edge_embedding(basis, idx, variant="drow_invsqrt").points
-    assert np.allclose(up, raw * np.sqrt(2.0))    # D_row = 2I on K4
-    assert np.allclose(down, raw / np.sqrt(2.0))
-    with pytest.raises(BadParameterError):
-        nb.edge_embedding(basis, idx, variant="nope")
+def test_edge_embedding_scales_rows_by_sqrt_drow():
+    idx = nb.oriented_edges(k23())                # degrees 3 and 2
+    basis = nb.real_eigenbasis_T(idx, 2)
+    drow = nb.build_D_row(idx)
+    emb = nb.edge_embedding(basis, idx)
+    assert np.array_equal(emb.points, np.sqrt(drow)[:, None] * basis.Z[:, 1:])
+    assert np.array_equal(emb.weights, drow)
 
 
 def test_deflate_trivial_closed_form():
-    basis, idx = _k4_basis()
-    emb = nb.deflate_to_nodes(basis, idx, side="end", drop_trivial=False)
+    basis, idx = _k4_basis(k=1)
+    emb = nb.deflate_to_nodes(basis, idx)
     a = 1.0 / np.sqrt(24.0)
     expected = np.sqrt(idx.degrees - 1.0) * a
     assert np.allclose(emb.points[:, 0], expected, atol=1e-12)
@@ -59,7 +57,7 @@ def test_deflate_trivial_closed_form():
 
 def test_deflate_k4_low_signal():
     basis, idx = _k4_basis()
-    emb = nb.deflate_to_nodes(basis, idx, side="end")
+    emb = nb.deflate_to_nodes(basis, idx)
     assert emb.low_signal
     assert np.max(np.abs(emb.points)) <= 1e-9     # end-sums cancel exactly
 
@@ -67,7 +65,7 @@ def test_deflate_k4_low_signal():
 def test_weighted_kmeans_two_lobes():
     eps = 1e-3
     X = np.array([[0.0, 0.0], [0.0, eps], [10.0, 0.0], [10.0, eps]])
-    emb = cluster.Embedding(points=X, weights=np.ones(4), entity="node")
+    emb = cluster.Embedding(points=X, weights=np.ones(4))
     out = nb.weighted_kmeans(emb, 2, seed=0)
     assert out.labels[0] == out.labels[1]
     assert out.labels[2] == out.labels[3]
@@ -78,7 +76,7 @@ def test_weighted_kmeans_two_lobes():
 def test_weighted_kmeans_weighted_mean_k1():
     X = np.array([[0.0], [1.0], [2.0]])
     w = np.array([0.0, 0.0, 5.0])
-    emb = cluster.Embedding(points=X, weights=w, entity="node")
+    emb = cluster.Embedding(points=X, weights=w)
     out = nb.weighted_kmeans(emb, 1, seed=0)
     assert out.centroids[0, 0] == pytest.approx(2.0)
 
@@ -87,7 +85,7 @@ def test_weighted_kmeans_determinism():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 2))
     w = rng.random(50) + 0.1
-    emb = cluster.Embedding(points=X, weights=w, entity="edge")
+    emb = cluster.Embedding(points=X, weights=w)
     a = nb.weighted_kmeans(emb, 3, seed=9)
     b = nb.weighted_kmeans(emb, 3, seed=9)
     assert np.array_equal(a.labels, b.labels)
@@ -97,8 +95,8 @@ def test_weighted_kmeans_determinism():
 def test_weighted_kmeans_uniform_weight_scale_invariance():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((40, 2))
-    e1 = cluster.Embedding(points=X, weights=np.ones(40), entity="edge")
-    e2 = cluster.Embedding(points=X, weights=np.full(40, 7.5), entity="edge")
+    e1 = cluster.Embedding(points=X, weights=np.ones(40))
+    e2 = cluster.Embedding(points=X, weights=np.full(40, 7.5))
     a = nb.weighted_kmeans(e1, 3, seed=2)
     b = nb.weighted_kmeans(e2, 3, seed=2)
     assert np.array_equal(a.labels, b.labels)
@@ -107,7 +105,7 @@ def test_weighted_kmeans_uniform_weight_scale_invariance():
 
 def test_weighted_kmeans_degenerate_input():
     X = np.zeros((5, 2))
-    emb = cluster.Embedding(points=X, weights=np.ones(5), entity="node")
+    emb = cluster.Embedding(points=X, weights=np.ones(5))
     with pytest.raises(DegenerateInputError):
         nb.weighted_kmeans(emb, 2, seed=0)
 
@@ -137,6 +135,15 @@ def test_overlap_basic():
     assert nb.overlap(swapped, truth, 3) == pytest.approx(1.0)
     with pytest.raises(LengthMismatchError):
         nb.overlap([0, 1], [0, 1, 2], 2)
+
+
+def test_overlap_rejects_labels_outside_0_to_k():
+    # unchecked, a label of k would index past the confusion matrix and -1
+    # would wrap around to label k - 1
+    for pred, truth in (([0, 1, 2], [0, 1, 1]), ([0, 1, 1], [0, 1, 2]),
+                        ([0, 1, -1], [0, 1, 1]), ([0, 1, 1], [-1, 1, 0])):
+        with pytest.raises(BadParameterError, match=r"\[0, 2\)"):
+            nb.overlap(pred, truth, 2)
 
 
 def test_overlap_random_is_near_zero():

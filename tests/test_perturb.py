@@ -102,9 +102,9 @@ def test_paper_R_bound_monotonicity():
 
 def test_match_and_verify_errors_and_sanity():
     with pytest.raises(CountMismatchError):
-        nb.match_and_verify([1.0], [2.0, 1.0], 0.5)
-    with pytest.raises(BadParameterError):
-        nb.match_and_verify([0.5, 1.0], [2.0, 1.0], 0.5)   # not decreasing
+        nb.match_and_verify([1.0], [2.0, 1.0], 0.5, d_min=3, d_max=3)
+    with pytest.raises(BadParameterError):                 # not decreasing
+        nb.match_and_verify([0.5, 1.0], [2.0, 1.0], 0.5, d_min=3, d_max=3)
     rep = nb.match_and_verify([1.0, 0.5], [5.0, 2.0], 0.5, d_min=3, d_max=4)
     assert rep.mu1_sane is False                           # 5 > d_max - 1
 

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nbspectra as nb
-from nbspectra import nbmat, spectra
+from nbspectra import cluster, nbmat, spectra
 from nbspectra.errors import (
     DegenerateInputError,
     DuplicateEdgeError,
@@ -117,14 +117,17 @@ def test_kmeans_distinct_row_check_matches_np_unique(data):
                                              max_size=cols),
                                     min_size=rows, max_size=rows)))
     k = data.draw(st.integers(1, rows))
-    emb = nb.Embedding(points=X, weights=np.ones(rows), entity="node")
+    emb = nb.Embedding(points=X, weights=np.ones(rows))
     degenerate = len(np.unique(X, axis=0)) < k
-    try:
-        nb.weighted_kmeans(emb, k, n_init=1, max_iter=1)
-    except DegenerateInputError:
-        assert degenerate
-    else:
-        assert not degenerate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "N_INIT", 1)
+        mp.setattr(cluster, "MAX_LLOYD", 1)
+        try:
+            nb.weighted_kmeans(emb, k)
+        except DegenerateInputError:
+            assert degenerate
+        else:
+            assert not degenerate
 
 
 @PROPERTY_SETTINGS

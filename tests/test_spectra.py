@@ -50,11 +50,12 @@ class _NoDensify(sp.csr_matrix):
         raise AssertionError("densified before the cap check")
 
 
-def test_dense_dimension_cap():
+def test_dense_dimension_cap(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_CAP", 5)
     with pytest.raises(DimensionCapError):
-        nb.dense_eigendecomposition(np.eye(10), cap=5)
+        nb.dense_eigendecomposition(np.eye(10))
     with pytest.raises(DimensionCapError):
-        nb.dense_eigendecomposition(_NoDensify(sp.eye(10, format="csr")), cap=5)
+        nb.dense_eigendecomposition(_NoDensify(sp.eye(10, format="csr")))
 
 
 def test_k4_B_spectrum_matches_closed_form_and_oracle():
@@ -210,12 +211,13 @@ def test_leading_k4_matches_dense():
     assert np.allclose(res.values, [1.0, 0.5], atol=1e-8)
 
 
-def test_leading_insufficient_reals():
+def test_leading_insufficient_reals(monkeypatch):
     # a pure rotation has no real eigenvalue, so no real Ritz value stabilizes
+    monkeypatch.setattr(spectra, "MAX_PRODUCTS", 50)
     M = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(NoConvergenceError,
                        match="^no real Ritz value stabilized after 50 sweeps$"):
-        nb.leading_real_eigenpairs(M, 1, max_iter=50)
+        nb.leading_real_eigenpairs(M, 1)
 
 
 def _bulk_operator(r, pairs=300, extra=()):
@@ -501,22 +503,20 @@ def test_reversal_relation_random_two_cores():
 
 
 def test_closed_form_singular_values():
-    idx = nb.oriented_edges(k4())
-    sv = nb.closed_form_singular_values_B(idx)
-    assert np.array_equal(sv, np.array([2.0] * 4 + [1.0] * 8))
-    numeric = np.sort(np.linalg.svd(nb.build_B(idx).toarray(),
-                                    compute_uv=False))[::-1]
-    assert np.max(np.abs(sv - numeric)) <= 1e-10
-
-    idx23 = nb.oriented_edges(k23())
-    sv23 = nb.closed_form_singular_values_B(idx23)
-    assert np.array_equal(sv23, np.array([2.0] * 2 + [1.0] * 10))
-    numeric23 = np.sort(np.linalg.svd(nb.build_B(idx23).toarray(),
-                                      compute_uv=False))[::-1]
-    assert np.max(np.abs(sv23 - numeric23)) <= 1e-10
-
-    tri = nb.oriented_edges(triangle())
-    assert np.array_equal(nb.closed_form_singular_values_B(tri), np.ones(6))
+    # K4 plus three isolated nodes has a node of degree 0, and one edge among
+    # three nodes has 2m < n
+    cases = ((k4(), [2.0] * 4 + [1.0] * 8),
+             (k23(), [2.0] * 2 + [1.0] * 10),
+             (triangle(), [1.0] * 6),
+             (nb.from_edge_list(k4().edges, 7), [2.0] * 4 + [1.0] * 8),
+             (nb.from_edge_list([(0, 1)], 3), [0.0, 0.0]))
+    for g, expected in cases:
+        idx = nb.oriented_edges(g)
+        sv = nb.closed_form_singular_values_B(idx)
+        assert np.array_equal(sv, expected)
+        numeric = np.sort(np.linalg.svd(nb.build_B(idx).toarray(),
+                                        compute_uv=False))[::-1]
+        assert np.max(np.abs(sv - numeric)) <= 1e-10
 
 
 def test_spectrum_csv_shape():
