@@ -6,7 +6,6 @@ from .graph import (
     connected_components,
     from_edge_list,
     is_bipartite,
-    is_cycle_graph,
     oriented_edges,
     two_core,
 )
@@ -25,13 +24,12 @@ from .spectra import (
     RealEigenBasis,
     Spectrum,
     classify_spectrum,
-    closed_form_singular_values_B,
     dense_eigendecomposition,
     leading_real_eigenpairs,
     node_sums,
     real_eigenbasis_T,
 )
-from .sbm import SbmParams, SbmSample, expected_adjacency, expected_quantities, sample
+from .sbm import SbmParams, SbmSample, expected_quantities, sample
 from .perturb import (
     BoundReport,
     bauer_fike_radius,

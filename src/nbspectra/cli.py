@@ -69,9 +69,14 @@ def cmd_spectrum(args) -> int:
     g = fileio.read_graph(args.graph)
     idx = oriented_edges(g)
     # the smallest reals of L = I - T are 1 - the largest reals of T, so the
-    # iterative mode solves T for them (the largest reals of L lie in the bulk)
+    # iterative mode solves T for them (the largest reals of L lie in the
+    # bulk); it solves the 2n x 2n Ihara-Bass companion for the leading reals
+    # of B, which are its reals above 1
     on_T = args.mode == "iterative" and args.matrix == "L"
-    M = _build_matrix(idx, "T" if on_T else args.matrix)
+    if args.mode == "iterative" and args.matrix == "B":
+        M = nbmat.ihara_bass_companion(idx)
+    else:
+        M = _build_matrix(idx, "T" if on_T else args.matrix)
     c = 2.0 * g.m / g.n if g.n else 0.0
     if args.mode == "dense":
         spec, _ = spectra.dense_eigendecomposition(M, source=args.matrix)

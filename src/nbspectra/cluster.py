@@ -105,10 +105,109 @@ def _kmeanspp_seeds(X, w, k, rng):
     return centers
 
 
-def _assign(X, centers):
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(X)), labels]
+class _Points:
+    """Lloyd steps on points of any dimension; a partition is the label and
+    the squared distance to its centre of every point."""
+
+    def __init__(self, X, w):
+        self.X, self.w = X, w
+
+    def assign(self, centers):
+        X = self.X
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        d2 = d2[np.arange(len(X)), labels]
+        return (labels, d2), float((self.w * d2).sum())
+
+    def update(self, centers, part):
+        labels, d2 = part
+        X, w = self.X, self.w
+        for j in range(len(centers)):
+            mask = labels == j
+            wj = w[mask].sum()
+            if wj > 0:
+                centers[j] = (w[mask, None] * X[mask]).sum(axis=0) / wj
+            else:
+                centers[j] = X[int(np.argmax(w * d2))]
+
+    def labels(self, part):
+        return part[0]
+
+
+class _SortedLine:
+    """Lloyd steps on one-column points, sorted once with prefix sums of w
+    and w x.  Every cluster is a run of the sorted points, so a partition is
+    the run [lo_j, hi_j) of each centre j (empty for a centre no point is
+    assigned to) with the weighted squared distance of every sorted point to
+    its centre; each centroid is a difference of prefix sums.  Assignment
+    follows :class:`_Points`: the nearest centre, ties to the lowest index,
+    so centre j keeps label j.
+    """
+
+    def __init__(self, X, w):
+        self.order = np.argsort(X[:, 0], kind="stable")
+        self.x = X[self.order, 0]
+        self.w = w[self.order]
+        self.cw = np.concatenate([[0.0], np.cumsum(self.w)])
+        self.cwx = np.concatenate([[0.0], np.cumsum(self.w * self.x)])
+
+    def _cut(self, ca, cb, low_first, floor):
+        """First sorted index, at least ``floor``, of the points that go to
+        centre cb > ca rather than ca; ``low_first`` when ca has the lower
+        index.  The midpoint places it, and the squared distances decide the
+        points beside it exactly as :class:`_Points` would."""
+        x = self.x
+
+        def right(v):
+            dl, dr = v - ca, v - cb
+            dl, dr = dl * dl, dr * dr
+            return dr < dl or (dr == dl and not low_first)
+
+        s = max(int(np.searchsorted(x, 0.5 * (ca + cb))), floor)
+        while s > floor and right(x[s - 1]):
+            s = max(int(np.searchsorted(x, x[s - 1])), floor)
+        while s < len(x) and not right(x[s]):
+            s = int(np.searchsorted(x, x[s], side="right"))
+        return s
+
+    def assign(self, centers):
+        c = centers[:, 0]
+        # centres in ascending order; of equal ones only the lowest index
+        # gets points, as argmin gives them
+        run = np.argsort(c, kind="stable")
+        run = run[np.r_[True, np.diff(c[run]) > 0]]
+        cuts = [0]
+        for a, b in zip(run[:-1], run[1:]):
+            cuts.append(self._cut(c[a], c[b], a < b, cuts[-1]))
+        cuts.append(len(self.x))
+        lo = np.zeros(len(c), dtype=np.int64)
+        hi = np.zeros(len(c), dtype=np.int64)
+        lo[run], hi[run] = cuts[:-1], cuts[1:]
+        # summed per cluster around its own centre, so it does not cancel
+        wd2, obj = np.empty(len(self.x)), 0.0
+        for j in run:
+            d = self.x[lo[j]:hi[j]] - c[j]
+            np.multiply(self.w[lo[j]:hi[j]], d * d, out=wd2[lo[j]:hi[j]])
+            obj += float(wd2[lo[j]:hi[j]].sum())
+        return (lo, hi, wd2), obj
+
+    def update(self, centers, part):
+        lo, hi, wd2 = part
+        wj = self.cw[hi] - self.cw[lo]
+        for j in range(len(centers)):
+            if wj[j] > 0:
+                centers[j, 0] = (self.cwx[hi[j]] - self.cwx[lo[j]]) / wj[j]
+            else:
+                # the farthest point, ties to the lowest index as argmax gives
+                top = np.flatnonzero(wd2 == wd2.max())
+                centers[j, 0] = self.x[top[np.argmin(self.order[top])]]
+
+    def labels(self, part):
+        lo, hi, _ = part
+        labels = np.empty(len(self.x), dtype=np.int64)
+        for j in range(len(lo)):
+            labels[self.order[lo[j]:hi[j]]] = j
+        return labels
 
 
 def weighted_kmeans(emb: Embedding, k: int, seed: int = 0) -> ClusterAssignment:
@@ -119,7 +218,9 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0) -> ClusterAssignment:
     most MAX_LLOYD iterations, each stopping once an iteration lowers the
     objective by at most LLOYD_RTOL relative, and keeps the best objective;
     empty clusters are reseeded at the point with the largest weighted
-    distance.
+    distance.  One-column points (every k = 2 embedding) are sorted once
+    and run on prefix sums (:class:`_SortedLine`), with the same labels as
+    the general path; their objective and centroids agree to rounding.
     Deterministic for a given seed.  The objective is checked to be
     nonincreasing across iterations.
     """
@@ -137,24 +238,16 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0) -> ClusterAssignment:
         if not len(rest):
             raise DegenerateInputError(f"fewer than {k} distinct points")
 
+    lloyd = _SortedLine(X, w) if X.shape[1] == 1 else _Points(X, w)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(N_INIT):
         centers = _kmeanspp_seeds(X, w, k, rng)
-        labels, d2 = _assign(X, centers)
-        prev_obj = float((w * d2).sum())
+        part, prev_obj = lloyd.assign(centers)
         n_iter = 0
         for n_iter in range(1, MAX_LLOYD + 1):
-            for j in range(k):
-                mask = labels == j
-                wj = w[mask].sum()
-                if wj > 0:
-                    centers[j] = (w[mask, None] * X[mask]).sum(axis=0) / wj
-                else:
-                    far = int(np.argmax(w * d2))
-                    centers[j] = X[far]
-            labels, d2 = _assign(X, centers)
-            obj = float((w * d2).sum())
+            lloyd.update(centers, part)
+            part, obj = lloyd.assign(centers)
             if obj > prev_obj + 1e-12 * max(1.0, prev_obj):
                 raise NoConvergenceError(
                     f"k-means objective increased: {prev_obj} -> {obj}")
@@ -162,11 +255,11 @@ def weighted_kmeans(emb: Embedding, k: int, seed: int = 0) -> ClusterAssignment:
                 prev_obj = obj
                 break
             prev_obj = obj
-        if best is None or prev_obj < best.objective:
-            best = ClusterAssignment(labels=labels.copy(),
-                                     centroids=centers.copy(),
-                                     objective=prev_obj, n_iter=n_iter)
-    return best
+        if best is None or prev_obj < best[2]:
+            best = (part, centers.copy(), prev_obj, n_iter)
+    part, centers, objective, n_iter = best
+    return ClusterAssignment(labels=lloyd.labels(part), centroids=centers,
+                             objective=objective, n_iter=n_iter)
 
 
 def node_labels_from_edge_labels(edge_labels, idx: OrientedEdgeIndex,

@@ -199,15 +199,6 @@ def is_bipartite(g: SimpleGraph):
     return True, color, None
 
 
-def is_cycle_graph(g: SimpleGraph) -> bool:
-    """True iff the graph is connected and every degree equals 2."""
-    if g.n == 0:
-        return False
-    if not np.all(g.degrees == 2):
-        return False
-    return len(connected_components(g)) == 1
-
-
 def oriented_edges(g: SimpleGraph) -> OrientedEdgeIndex:
     """Index the 2m oriented edges: forward lex block first, reverses second."""
     m = g.m

@@ -142,6 +142,22 @@ def T_operator(idx: OrientedEdgeIndex) -> EdgeOperator:
     return EdgeOperator(idx, transition=True)
 
 
+def ihara_bass_companion(idx: OrientedEdgeIndex) -> sp.csr_matrix:
+    """2n x 2n companion [[A, I - D], [I, 0]] of the Ihara-Bass pencil.
+
+    Its eigenvalues are the roots of det(mu^2 I - mu A + (D - I)), which are
+    the eigenvalues of B apart from m - n copies each of +1 and -1
+    (Krzakala et al., PNAS 110, 2013).  So every real eigenvalue of B above 1
+    is one of the companion, with the same multiplicity.
+    """
+    n = idx.n
+    A = sp.csr_matrix((np.ones(2 * idx.m), (idx.start, idx.end)), shape=(n, n))
+    eye = sp.eye(n, format="csr")
+    C = sp.bmat([[A, sp.diags(1.0 - idx.degrees)], [eye, None]], format="csr")
+    C.sort_indices()
+    return C
+
+
 def build_L(idx: OrientedEdgeIndex) -> sp.csr_matrix:
     """Walk Laplacian L = I - T on the oriented-edge space."""
     T = build_T(idx)

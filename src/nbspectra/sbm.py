@@ -17,6 +17,8 @@ from .errors import BadParameterError, EmptyCoreError
 from .graph import (SimpleGraph, connected_components, from_edge_list,
                     induced_subgraph, two_core)
 
+SAMPLE_CHUNK = 1 << 16    # pair slots drawn per call of Generator.random
+
 
 @dataclass(frozen=True)
 class SbmParams:
@@ -84,25 +86,6 @@ def expected_quantities(p: SbmParams) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    """Rank-k description of the expected adjacency matrix."""
-
-    rates: np.ndarray            # k x k entrywise edge probabilities M/n
-    block_sizes: np.ndarray      # nodes per block
-    reduced: np.ndarray          # k x k matrix whose eigenvalues are the mu's
-
-
-def expected_adjacency(p: SbmParams) -> BlockStructure:
-    """The k x k rate matrix M/n, block sizes, and the reduced matrix."""
-    pi = p.proportion_array()
-    M = np.full((p.k, p.k), float(p.b))
-    np.fill_diagonal(M, float(p.a))
-    sizes = _block_sizes(p.n, pi)
-    return BlockStructure(rates=M / p.n, block_sizes=sizes,
-                          reduced=M @ np.diag(pi))
-
-
 def _block_sizes(n: int, pi: np.ndarray) -> np.ndarray:
     """Largest-remainder rounding of n * pi to integers summing to n."""
     raw = n * pi
@@ -112,6 +95,35 @@ def _block_sizes(n: int, pi: np.ndarray) -> np.ndarray:
         order = np.argsort(-(raw - sizes), kind="stable")
         sizes[order[:short]] += 1
     return sizes
+
+
+def _draw_edges(labels: np.ndarray, a_n: float, b_n: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli edges over the node pairs (i, j), i < j, in row-major order.
+
+    Pair slot s of row i is s = off[i] + j - i - 1, and each slot takes one
+    uniform draw, compared with a_n when labels i and j agree and b_n
+    otherwise.  The draws come SAMPLE_CHUNK slots at a time; a Generator
+    fills its output one double after another, so the stream is that of one
+    draw per row.  Only the slots below max(a_n, b_n) are decoded to their
+    pair and tested against its own rate.
+    """
+    n = len(labels)
+    off = np.zeros(n, dtype=np.int64)       # first slot of each row
+    np.cumsum(np.arange(n - 1, 0, -1), out=off[1:])
+    total = n * (n - 1) // 2
+    top = max(a_n, b_n)
+    slots, draws = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for lo in range(0, total, SAMPLE_CHUNK):
+        r = rng.random(min(SAMPLE_CHUNK, total - lo))
+        hit = np.flatnonzero(r < top)
+        slots.append(lo + hit)
+        draws.append(r[hit])
+    slot, r = np.concatenate(slots), np.concatenate(draws)
+    row = np.searchsorted(off, slot, side="right") - 1
+    col = slot - off[row] + row + 1
+    keep = r < np.where(labels[row] == labels[col], a_n, b_n)
+    return np.column_stack([row[keep], col[keep]])
 
 
 def sample(p: SbmParams) -> SbmSample:
@@ -128,14 +140,8 @@ def sample(p: SbmParams) -> SbmSample:
     labels = np.repeat(np.arange(p.k), sizes)
     rng.shuffle(labels)
 
-    a_n, b_n = p.a / p.n, p.b / p.n
-    rows = [np.empty((0, 2), dtype=np.int64)]
-    for i in range(p.n - 1):
-        rates = np.where(labels[i + 1:] == labels[i], a_n, b_n)
-        hits = i + 1 + np.nonzero(rng.random(p.n - 1 - i) < rates)[0]
-        rows.append(np.column_stack([np.full(hits.size, i), hits]))
-
-    core, table = two_core(from_edge_list(np.concatenate(rows), p.n))
+    edges = _draw_edges(labels, p.a / p.n, p.b / p.n, rng)
+    core, table = two_core(from_edge_list(edges, p.n))
     if core.n == 0:
         raise EmptyCoreError("the 2-core of the sample is empty")
     labels_core = labels[table >= 0]

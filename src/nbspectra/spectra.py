@@ -443,20 +443,6 @@ def node_sums(z: np.ndarray, idx: OrientedEdgeIndex):
     return start_sums, end_sums
 
 
-def closed_form_singular_values_B(idx: OrientedEdgeIndex) -> np.ndarray:
-    """Singular values of B, descending: |d_j - 1| once per node j with
-    d_j >= 1, plus 1 repeated 2m - n+ times, n+ the number of such nodes.
-
-    B V = End End^T - I is symmetric, and End End^T holds one all-ones
-    block per such node, on the edges ending there, so its eigenvalues are
-    each d_j once and 0 with multiplicity 2m - n+; the singular values of B
-    are the moduli of those of B V.
-    """
-    deg = idx.degrees[idx.degrees >= 1]
-    vals = np.concatenate([np.abs(deg - 1.0), np.ones(2 * idx.m - len(deg))])
-    return np.sort(vals)[::-1]
-
-
 def _cluster_real_values(vals: np.ndarray):
     """Group consecutive (descending) values within CLUSTER_RTOL."""
     clusters, current = [], [0]
@@ -658,14 +644,16 @@ def leading_reals_B(idx: OrientedEdgeIndex, k: int, mode: str,
     """Leading real eigenvalues of B, descending, at most k of them.
 
     mode 'dense' reads them off the full spectrum of the CSR B; otherwise
-    the block iteration runs on the matrix-free B and its
-    InsufficientRealRitzError / NoConvergenceError propagate (the former
-    carries the partial result in ``found``).
+    the block iteration runs on the 2n x 2n Ihara-Bass companion
+    (:func:`nbmat.ihara_bass_companion`), whose real eigenvalues above 1 are
+    those of B, and its InsufficientRealRitzError / NoConvergenceError
+    propagate (the former carries the partial result in ``found``).
     """
     if mode == "dense":
         spec, _ = dense_eigendecomposition(nbmat.build_B(idx), source="B")
         return np.sort(spec.real_values())[::-1][:k]
-    return leading_real_eigenpairs(nbmat.B_operator(idx), k, seed=seed).values
+    return leading_real_eigenpairs(nbmat.ihara_bass_companion(idx), k,
+                                   seed=seed).values
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

@@ -389,3 +389,20 @@ def test_criterion_9_cli_determinism(tmp_path):
            + ", ".join(f"{k}={'ok' if v else 'DIFF'}"
                        for k, v in sorted(checks.items())))
     assert ok
+
+
+
+def test_verify_svd_is_byte_identical_across_fresh_processes(tmp_path):
+    # the svd suite reads the extremes of B V off the diagonal End^T End,
+    # where an iterative eigensolver on B V printed different last digits
+    # from one process to the next on this graph
+    _run_cli(["gen", "--n", "40", "--a", "16", "--b", "4", "--seed", "3",
+              "--out-dir", str(tmp_path)], tmp_path)
+    outs = set()
+    for run in range(5):
+        out = tmp_path / f"svd.{run}.json"
+        _run_cli(["verify", "--graph", str(tmp_path / "graph.tsv"),
+                  "--suites", "svd", "--out", str(out)], tmp_path)
+        with open(out, "rb") as fh:
+            outs.add(fh.read())
+    assert len(outs) == 1

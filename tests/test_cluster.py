@@ -110,6 +110,61 @@ def test_weighted_kmeans_degenerate_input():
         nb.weighted_kmeans(emb, 2, seed=0)
 
 
+def _one_column_and_padded(x, w, k, seed):
+    emb = cluster.Embedding(points=np.asarray(x, dtype=float)[:, None],
+                            weights=np.asarray(w, dtype=float))
+    padded = cluster.Embedding(
+        points=np.column_stack([emb.points, np.zeros(len(x))]),
+        weights=emb.weights)
+    return (nb.weighted_kmeans(emb, k, seed=seed),
+            nb.weighted_kmeans(padded, k, seed=seed))
+
+
+def test_one_column_kmeans_midpoint_ties_go_to_the_lower_index():
+    # with centres 0 and 2 the points at 1 are equally far from both, and
+    # argmin gives them the centre of lower index, whichever side it is on
+    X = np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]])
+    w = np.ones(6)
+    line = cluster._SortedLine(X, w)
+    for centers, tie_label in (([[0.0], [2.0]], 0), ([[2.0], [0.0]], 0),
+                               ([[5.0], [2.0], [0.0]], 1)):
+        part, obj = line.assign(np.array(centers))
+        labels = line.labels(part)
+        assert np.all(labels[2:4] == tie_label)
+        assert obj == 2.0
+    # of equal centres the lower index takes the points, the other none;
+    # the points at 2 tie between 1 and 3 and go to label 0
+    part, _ = line.assign(np.array([[3.0], [1.0], [1.0]]))
+    assert np.array_equal(line.labels(part), [1, 1, 1, 1, 0, 0])
+    # every sum is exact here, so the paths agree bit for bit
+    for seed in range(10):
+        a, b = _one_column_and_padded(X[:, 0], w, 2, seed)
+        assert np.array_equal(a.labels, b.labels) and a.n_iter == b.n_iter
+        assert np.array_equal(a.centroids[:, 0], b.centroids[:, 0])
+        assert a.objective == b.objective
+
+
+def test_one_column_kmeans_reseeds_an_empty_cluster_like_the_general_path(
+        monkeypatch):
+    # the point at 5 weighs nothing, so the third k-means++ seed is a random
+    # point: one already a centre, or 5, whose cluster has no weight
+    reseeds, update = [], cluster._SortedLine.update
+
+    def counting(self, centers, part):
+        lo, hi, _ = part
+        reseeds.extend(np.flatnonzero(self.cw[hi] == self.cw[lo]))
+        return update(self, centers, part)
+
+    monkeypatch.setattr(cluster._SortedLine, "update", counting)
+    x, w = [0.0, 10.0, 5.0, 0.0, 10.0], [1.0, 1.0, 0.0, 1.0, 1.0]
+    for seed in range(10):
+        a, b = _one_column_and_padded(x, w, 3, seed)
+        assert np.array_equal(a.labels, b.labels) and a.n_iter == b.n_iter
+        assert np.array_equal(a.centroids[:, 0], b.centroids[:, 0])
+        assert a.objective == b.objective == 0.0
+    assert reseeds
+
+
 def test_node_labels_majority_and_ties():
     g = k4()
     idx = nb.oriented_edges(g)

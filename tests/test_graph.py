@@ -130,14 +130,6 @@ def test_is_bipartite():
     assert nb.is_bipartite(single)[0]
 
 
-def test_is_cycle_graph():
-    assert nb.is_cycle_graph(triangle())
-    assert not nb.is_cycle_graph(k4())
-    two_triangles = nb.from_edge_list(
-        [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], 6)
-    assert not nb.is_cycle_graph(two_triangles)
-
-
 def test_oriented_edges_k4_convention():
     idx = nb.oriented_edges(k4())
     assert idx.m == 6

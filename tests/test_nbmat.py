@@ -11,7 +11,7 @@ from nbspectra.errors import (
     NoConvergenceError,
 )
 
-from conftest import k4, k23, petersen, random_two_core
+from conftest import adjacency, k4, k23, petersen, random_two_core
 
 
 def bit_equal(A, B):
@@ -191,3 +191,14 @@ def test_spectral_norm_no_convergence(monkeypatch):
     B = nb.build_B(nb.oriented_edges(random_two_core(1)))
     with pytest.raises(NoConvergenceError):
         nbmat.spectral_norm(B)
+
+
+def test_ihara_bass_companion_blocks():
+    for g in (k4(), k23(), petersen(), random_two_core(5),
+              nb.from_edge_list([(0, 1)], 3)):
+        C = nbmat.ihara_bass_companion(nb.oriented_edges(g))
+        n, eye = g.n, np.eye(g.n)
+        want = np.block([[adjacency(g), eye - np.diag(g.degrees)],
+                         [eye, np.zeros((n, n))]])
+        assert C.format == "csr" and C.has_sorted_indices
+        assert np.array_equal(C.toarray(), want)

@@ -10,7 +10,9 @@ bipartiteness) is checked against a per-pair loop and against networkx on
 raw graphs with pendant trees and several components.  The iterative T
 eigenbasis is checked against the dense spectrum on block-model samples on
 both sides of the detection threshold, and the k-means degeneracy check
-against np.unique.
+against np.unique.  The one-column k-means is checked against the general
+path, and the Ihara-Bass companion route for the leading reals of B against
+the dense spectrum of B and the 2m route.
 """
 
 import numpy as np
@@ -128,6 +130,52 @@ def test_kmeans_distinct_row_check_matches_np_unique(data):
             assert degenerate
         else:
             assert not degenerate
+
+
+def _padded(emb):
+    """The same points with a zero second column, which changes no
+    distance but sends weighted_kmeans down its general path."""
+    return nb.Embedding(points=np.column_stack([emb.points,
+                                                np.zeros(len(emb.points))]),
+                        weights=emb.weights)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(2, 80), k=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_column_kmeans_matches_the_general_path(n, k, seed):
+    # continuous values drawn from a small pool, so points repeat; some
+    # weights are zero
+    rng = np.random.default_rng(seed)
+    x = rng.choice(rng.standard_normal(max(1, n // 3)), n)
+    w = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.1, 3.0, n))
+    assume(w.sum() > 0 and len(np.unique(x)) >= k)
+    # relative to the weighted sum of squares: clusters of repeated points
+    # leave an objective of pure rounding
+    scale = 1e-12 * float(w @ x ** 2)
+    emb = nb.Embedding(points=x[:, None], weights=w)
+    line = nb.weighted_kmeans(emb, k, seed=seed)
+    general = nb.weighted_kmeans(_padded(emb), k, seed=seed)
+    assert np.array_equal(line.labels, general.labels)
+    assert line.n_iter == general.n_iter
+    assert line.centroids[:, 0] == pytest.approx(general.centroids[:, 0],
+                                                 rel=1e-12, abs=1e-15)
+    assert line.objective == pytest.approx(general.objective, rel=1e-12,
+                                           abs=scale)
+
+    # centres placed about a point, so that it sits on their midpoint up to
+    # rounding, go through the same assignment on both paths
+    X = x[:, None]
+    for _ in range(5):
+        v, step = rng.choice(x), rng.uniform(1e-3, 2.0)
+        centers = rng.permutation(np.array([[v - step], [v + step],
+                                            [rng.standard_normal()]])[:k])
+        ours = cluster._SortedLine(X, w)
+        part, obj = ours.assign(centers)
+        theirs = cluster._Points(X, w)
+        want, want_obj = theirs.assign(centers)
+        assert np.array_equal(ours.labels(part), theirs.labels(want))
+        assert obj == pytest.approx(want_obj, rel=1e-12, abs=scale)
 
 
 @PROPERTY_SETTINGS
@@ -278,3 +326,36 @@ def test_iterative_T_basis_finds_the_dense_structural_reals(k, a, b, n, seed):
         values = exc.basis.values
     assert len(values) == len(expected)
     assert values == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("k, a, b", [(2, 16.0, 4.0), (3, 24.0, 3.0),
+                                     (2, 13.0, 7.0), (2, 11.0, 9.0)])
+@pytest.mark.parametrize("n_lo, n_hi", [(60, 80), (280, 320)])
+@settings(max_examples=1, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_companion_route_finds_the_leading_reals_of_B(k, a, b, n_lo, n_hi,
+                                                      data):
+    """The 2n x 2n Ihara-Bass companion lacks m - n copies each of +1 and -1
+    of the spectrum of B, so the two agree while the k-th real exceeds 1.
+
+    Below the threshold the reals of B after the Perron value lie in the
+    bulk, where neither route separates them, so those regimes ask for one.  The smaller graphs (2m under 1000) are
+    checked against the dense spectrum of B, the larger ones, whose
+    companion exceeds SMALL_DIM, against the block iteration on the 2m B.
+    """
+    n, seed = data.draw(st.integers(n_lo, n_hi)), data.draw(
+        st.integers(0, 2 ** 32 - 1))
+    p = nb.SbmParams(n=n, k=k, a=a, b=b, seed=seed)
+    j = k if nb.expected_quantities(p)["detectable"] else 1
+    idx = nb.oriented_edges(nb.sample(p).graph)
+    if 2 * idx.m <= 1000:
+        spec, _ = nb.dense_eigendecomposition(nb.build_B(idx), source="B")
+        reals = np.sort(spec.real_values())[::-1]
+        assert reals[j - 1] > 1
+        expected = reals[:j]
+    else:
+        assert 2 * idx.n > spectra.SMALL_DIM
+        expected = nb.leading_real_eigenpairs(nbmat.B_operator(idx), j,
+                                              seed=seed).values
+    got = spectra.leading_reals_B(idx, j, "iterative", seed=seed)
+    assert got == pytest.approx(expected, rel=1e-8)

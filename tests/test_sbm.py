@@ -38,20 +38,6 @@ def test_params_validation():
         nb.SbmParams(n=100, k=2, a=8.0, b=1.0, proportions=(0.7, 0.7))
 
 
-def test_expected_adjacency():
-    p = nb.SbmParams(n=2000, k=2, a=16.0, b=4.0)
-    bs = nb.expected_adjacency(p)
-    assert np.allclose(bs.rates, np.array([[0.008, 0.002], [0.002, 0.008]]))
-    assert list(bs.block_sizes) == [1000, 1000]
-    eigs = np.sort(np.linalg.eigvals(bs.reduced).real)[::-1]
-    assert np.allclose(eigs, [10.0, 6.0])
-    # equal blocks: the reduced matrix is symmetric with a +/- step eigenvector
-    w, V = np.linalg.eigh(bs.reduced)
-    step = V[:, 0]
-    assert abs(abs(step[0]) - abs(step[1])) <= 1e-12
-    assert np.sign(step[0]) != np.sign(step[1])
-
-
 def test_sample_determinism_and_distinctness():
     p = nb.SbmParams(n=400, k=2, a=16.0, b=4.0, seed=11)
     s1, s2 = nb.sample(p), nb.sample(p)
@@ -103,3 +89,39 @@ def test_sample_validates_edges_once(monkeypatch):
     monkeypatch.setattr(sbm, "from_edge_list", counting)
     nb.sample(nb.SbmParams(n=300, k=2, a=16.0, b=4.0))
     assert len(calls) == 1
+
+
+def _draw_edges_per_row(labels, a_n, b_n, rng):
+    """The sampler's former draw, one Generator.random call per row."""
+    n = len(labels)
+    rows = [np.empty((0, 2), dtype=np.int64)]
+    for i in range(n - 1):
+        rates = np.where(labels[i + 1:] == labels[i], a_n, b_n)
+        hits = i + 1 + np.nonzero(rng.random(n - 1 - i) < rates)[0]
+        rows.append(np.column_stack([np.full(hits.size, i), hits]))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("chunk", [sbm.SAMPLE_CHUNK, 7])
+def test_chunked_draws_match_the_per_row_draws(monkeypatch, chunk):
+    # a chunk of 7 slots splits rows across chunks, and rows of up to n - 1
+    # slots are longer than a chunk
+    monkeypatch.setattr(sbm, "SAMPLE_CHUNK", chunk)
+    for n in (1, 2, 40, 2000):
+        a_n, b_n = min(16.0 / n, 0.9), min(4.0 / n, 0.3)
+        for seed in range(3 if n < 2000 else 1):
+            labels = np.random.default_rng(seed).integers(0, 2, n)
+            want = _draw_edges_per_row(labels, a_n, b_n,
+                                       np.random.default_rng(seed))
+            got = sbm._draw_edges(labels, a_n, b_n, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_sample_does_not_depend_on_the_chunk(monkeypatch):
+    p = nb.SbmParams(n=300, k=3, a=24.0, b=3.0, seed=6)
+    want = nb.sample(p)
+    monkeypatch.setattr(sbm, "SAMPLE_CHUNK", 7)
+    got = nb.sample(p)
+    assert np.array_equal(got.graph.edges, want.graph.edges)
+    assert np.array_equal(got.labels, want.labels)

@@ -502,23 +502,6 @@ def test_reversal_relation_random_two_cores():
     assert worst_total <= 1e-8           # coordinates sum to 0 off lambda = 1
 
 
-def test_closed_form_singular_values():
-    # K4 plus three isolated nodes has a node of degree 0, and one edge among
-    # three nodes has 2m < n
-    cases = ((k4(), [2.0] * 4 + [1.0] * 8),
-             (k23(), [2.0] * 2 + [1.0] * 10),
-             (triangle(), [1.0] * 6),
-             (nb.from_edge_list(k4().edges, 7), [2.0] * 4 + [1.0] * 8),
-             (nb.from_edge_list([(0, 1)], 3), [0.0, 0.0]))
-    for g, expected in cases:
-        idx = nb.oriented_edges(g)
-        sv = nb.closed_form_singular_values_B(idx)
-        assert np.array_equal(sv, expected)
-        numeric = np.sort(np.linalg.svd(nb.build_B(idx).toarray(),
-                                        compute_uv=False))[::-1]
-        assert np.max(np.abs(sv - numeric)) <= 1e-10
-
-
 def test_spectrum_csv_shape():
     idx = nb.oriented_edges(k4())
     spec, _ = nb.dense_eigendecomposition(nb.build_B(idx), source="B")
