@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy.sparse as sp
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import nbmat, perturb, spectra
 from .errors import (
@@ -284,9 +285,13 @@ def node_labels_from_edge_labels(edge_labels, idx: OrientedEdgeIndex,
 def overlap(pred, truth, k: int) -> float:
     """Permutation-maximized accuracy rescaled so chance = 0 and perfect = 1.
 
-    Ranges over [-1/(k-1), 1]; the permutation is found by optimal
-    assignment on the k x k confusion matrix.  Every label, predicted or
-    true, must lie in [0, k).
+    Ranges over [-1/(k-1), 1]; the permutation is the maximum-weight full
+    matching on the k x k confusion matrix, found by csgraph's
+    :func:`~scipy.sparse.csgraph.min_weight_full_bipartite_matching`
+    (LAPJVsp) on the matrix plus one, so that no pair is missing from the
+    sparse input; the shift adds k to every full matching and leaves the
+    optimum where it was.  The labels must be nonempty, and every label,
+    predicted or true, must lie in [0, k).
     """
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
@@ -295,14 +300,17 @@ def overlap(pred, truth, k: int) -> float:
             f"{pred.shape[0]} predictions vs {truth.shape[0]} truths")
     if k < 2:
         raise BadParameterError(f"k must be at least 2, got {k}")
+    if not pred.size:
+        raise BadParameterError("cannot score an empty labelling")
     for name, lab in (("predicted", pred), ("true", truth)):
-        if lab.size and not 0 <= lab.min() <= lab.max() < k:
+        if not 0 <= lab.min() <= lab.max() < k:
             raise BadParameterError(
                 f"{name} labels must lie in [0, {k}), got {lab.min()} to "
                 f"{lab.max()}")
     conf = np.zeros((k, k), dtype=np.int64)
     np.add.at(conf, (pred, truth), 1)
-    rows, cols = linear_sum_assignment(-conf)
+    rows, cols = min_weight_full_bipartite_matching(sp.csr_array(conf + 1),
+                                                    maximize=True)
     acc = conf[rows, cols].sum() / len(pred)
     return float((acc - 1.0 / k) / (1.0 - 1.0 / k))
 

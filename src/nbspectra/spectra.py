@@ -40,7 +40,7 @@ RESIDUAL_RTOL = 1e-6      # a Ritz pair is kept when its residual <= this * ||M|
 VALUE_RTOL = 1e-8         # leading Ritz values count as stable within this
 STABLE_WINDOW = 5         # ... over this many consecutive extractions
 WINDOW_PRODUCTS = 4       # products of M per extraction while the bulk window counts
-SMALL_DIM = 512           # operators up to this dimension may grow the block fully
+SMALL_DIM = 512           # operators up to this dimension take the full block on a stall
 BULK_MARGIN = 0.05        # a value is structural beyond (1 + this) * bulk radius
 CHOLQR_MAX_COND = 1e6     # CholeskyQR2 falls back to Householder QR above this
 
@@ -287,9 +287,9 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     VALUE_RTOL over STABLE_WINDOW consecutive extractions and to sit above
     the modulus floor of the converged block (so no larger real eigenvalue
     can hide below the block).  When a round of ROUND_SWEEPS products stalls
-    the block is doubled: operators of dimension <= SMALL_DIM may grow to
-    full dimension, where the projection is exact, while larger ones get one
-    doubling before the stall is treated as missing spectral separation.
+    the block grows once: operators of dimension <= SMALL_DIM jump to full
+    dimension, where the projection is exact, while larger ones double it;
+    a stall after that is treated as missing spectral separation.
     MAX_PRODUCTS bounds the total products across rounds.  ``inner``
     supplies a diagonal metric for the orthogonalization (CholeskyQR2, see
     :func:`_metric_orthonormalize`).  Deterministic for a given seed.  The
@@ -332,7 +332,8 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
 
     rng = np.random.default_rng(seed)
     p = min(k + 4, nn)
-    block_cap = nn if nn <= SMALL_DIM else 2 * (k + 4)
+    # the block after a stall; it grows only once
+    block_cap = nn if nn <= SMALL_DIM else min(2 * p, nn)
     # the block holds one vector per row, so every sweep runs along
     # contiguous memory; the draws stay (nn, p) to keep the random stream.
     # X holds the rows that the next sweep orthonormalizes.
@@ -386,8 +387,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                         f"wanted {k}", found=_pairs(cand, slice(k - 1)))
             X = Y
         # stalled: grow the block or give up
-        p_new = min(2 * p, block_cap, nn)
-        if p_new <= p or total_it >= MAX_PRODUCTS:
+        if block_cap <= p or total_it >= MAX_PRODUCTS:
             if best is None:
                 raise NoConvergenceError(
                     f"no real Ritz value stabilized after {total_it} sweeps")
@@ -404,9 +404,9 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             raise InsufficientRealRitzError(
                 f"only {j} real Ritz value(s) stabilized, wanted {k}: "
                 f"no spectral separation", found=best)
-        extra = rng.standard_normal((nn, p_new - p))
+        extra = rng.standard_normal((nn, block_cap - p))
         X = np.vstack([_metric_orthonormalize(X, d), extra.T])
-        p = p_new
+        p = block_cap
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -264,6 +267,29 @@ def test_cluster_with_truth_overlap_range(tmp_path):
     labels = fileio.read_labels(str(assign))
     g = fileio.read_graph(str(d / "graph.tsv"))
     assert len(labels) == g.n
+
+
+def test_cluster_run_loads_no_scipy_optimize(tmp_path):
+    # the package needs only scipy.sparse, its linalg and csgraph; the check
+    # runs in a fresh process, because conftest imports scipy.optimize here
+    graph = write_k4(tmp_path)
+    truth = str(tmp_path / "truth.tsv")
+    fileio.write_text_atomic(truth, fileio.labels_to_text([0, 0, 1, 1]))
+    args = ["cluster", "--graph", graph, "--k", "2", "--truth", truth,
+            "--out", str(tmp_path / "rep.json")]
+    code = ("import sys\n"
+            "import nbspectra, nbspectra.cli\n"
+            "assert 'scipy.optimize' not in sys.modules, 'on import'\n"
+            f"assert nbspectra.cli.main({args!r}) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'after cluster'\n")
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(nb.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_parent] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(read_bytes(tmp_path / "rep.json"))["overlap"] is not None
 
 
 @pytest.mark.parametrize("bad", [2, -1])

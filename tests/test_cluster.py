@@ -201,6 +201,11 @@ def test_overlap_rejects_labels_outside_0_to_k():
             nb.overlap(pred, truth, 2)
 
 
+def test_overlap_rejects_empty_labels():
+    with pytest.raises(BadParameterError, match="empty"):
+        nb.overlap([], [], 2)
+
+
 def test_overlap_random_is_near_zero():
     rng = np.random.default_rng(5)
     truth = rng.integers(0, 2, size=10000)

@@ -12,7 +12,8 @@ eigenbasis is checked against the dense spectrum on block-model samples on
 both sides of the detection threshold, and the k-means degeneracy check
 against np.unique.  The one-column k-means is checked against the general
 path, and the Ihara-Bass companion route for the leading reals of B against
-the dense spectrum of B and the 2m route.
+the dense spectrum of B and the 2m route.  The overlap score is checked
+against scipy.optimize's assignment solver.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import nbspectra as nb
 from nbspectra import cluster, nbmat, spectra
@@ -359,3 +361,31 @@ def test_companion_route_finds_the_leading_reals_of_B(k, a, b, n_lo, n_hi,
                                               seed=seed).values
     got = spectra.leading_reals_B(idx, j, "iterative", seed=seed)
     assert got == pytest.approx(expected, rel=1e-8)
+
+
+def _overlap_oracle(pred, truth, k):
+    conf = np.zeros((k, k), dtype=np.int64)
+    np.add.at(conf, (pred, truth), 1)
+    rows, cols = linear_sum_assignment(-conf)
+    acc = conf[rows, cols].sum() / len(pred)
+    return float((acc - 1.0 / k) / (1.0 - 1.0 / k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_overlap_matches_the_assignment_oracle(data):
+    """The csgraph matcher gives the same float as linear_sum_assignment,
+    also when the predicted or true labels use only some of the k values
+    (empty rows or columns of the confusion matrix), down to one."""
+    k = data.draw(st.integers(2, 8))
+    n = data.draw(st.integers(1, 60))
+    used_pred = data.draw(st.integers(1, k))
+    used_truth = data.draw(st.integers(1, k))
+    pred = np.array(data.draw(st.lists(st.integers(0, used_pred - 1),
+                                       min_size=n, max_size=n)))
+    truth = np.array(data.draw(st.lists(st.integers(0, used_truth - 1),
+                                        min_size=n, max_size=n)))
+    # shift the labels so the unused values are not always the top ones
+    pred = (pred + data.draw(st.integers(0, k - 1))) % k
+    truth = (truth + data.draw(st.integers(0, k - 1))) % k
+    assert cluster.overlap(pred, truth, k) == _overlap_oracle(pred, truth, k)

@@ -329,6 +329,26 @@ def test_leading_without_bulk_radius_spends_the_same_sweeps():
     assert nb.leading_real_eigenpairs(M, 2).iterations == 77
 
 
+@pytest.mark.parametrize("n, seed", [(220, 0), (250, 1)])
+def test_small_companion_jumps_to_the_full_block_on_a_stall(n, seed):
+    # below the threshold B has one real above 1, so asking its companion
+    # for two stalls the first round; a companion of at most SMALL_DIM then
+    # takes the full block at once, where Rayleigh-Ritz reads the exact
+    # spectrum (a doubling ladder spent all MAX_PRODUCTS here)
+    g = nb.two_core(nb.sample(nb.SbmParams(n=n, k=2, a=11.0, b=9.0,
+                                           seed=seed)).graph)[0]
+    C = nbmat.ihara_bass_companion(nb.oriented_edges(g))
+    assert C.shape[0] <= spectra.SMALL_DIM
+    res = nb.leading_real_eigenpairs(C, 2, seed=0)
+    assert res.block_size == C.shape[0]
+    assert spectra.ROUND_SWEEPS < res.iterations < 2 * spectra.ROUND_SWEEPS
+    mus = ihara_bass_eigenvalues(g)
+    reals = np.sort(mus.real[np.abs(mus.imag) < 1e-8])[::-1]
+    assert res.values[0] == pytest.approx(reals[0], rel=1e-10)
+    assert res.values[1] == pytest.approx(1.0, abs=1e-10)
+    assert_ritz_contract(C, res)
+
+
 def test_leading_matches_dense_on_sbm():
     p = nb.SbmParams(n=120, k=2, a=16.0, b=4.0, seed=5)
     g = nb.sample(p).graph
