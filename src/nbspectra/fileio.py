@@ -7,6 +7,7 @@ rerunning a command reproduces output files byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -16,10 +17,16 @@ from .graph import SimpleGraph, from_edge_list
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write through a temporary file beside ``path``, removed on failure."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def graph_to_text(g: SimpleGraph) -> str:

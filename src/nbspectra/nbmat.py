@@ -4,7 +4,7 @@ Builds the non-backtracking matrix B, the out-/in-degree diagonals D_row and
 D_col, the doubly stochastic transition matrix T = D_row^{-1} B, the walk
 Laplacian L = I - T, and the end/start incidence matrices.  All 0/1 operators
 are stored with exact unit entries so structural identities can be checked
-bit-exactly; T and L carry the rational values 1/(d-1).  B and T also come
+bit-exactly; T and L carry the rational values 1/(d-1).  T also comes
 matrix-free, as :class:`EdgeOperator`, for the iterative solvers.
 
 The reversal involution acts on vectors by swapping the two length-m halves
@@ -90,27 +90,23 @@ def build_T(idx: OrientedEdgeIndex) -> sp.csr_matrix:
 
 
 class EdgeOperator(LinearOperator):
-    """Matrix-free B or T = D_row^{-1} B on the oriented-edge space.
+    """Matrix-free T = D_row^{-1} B on the oriented-edge space.
 
     ``B X`` is ``(Start^T X)[end] - V X``: sum the rows of ``X`` per
     startpoint, gather the sums at each edge's endpoint, and subtract the
-    half-swap, which removes the backtrack.  For T the product is divided by
-    D_row.  The adjoint is ``V M V``, the same product between two
-    half-swaps: B^T = V B V, and T^T = V T V because B D_col^{-1} =
-    D_row^{-1} B.  Storage is O(2m) instead of the sum_j d_j^2 - 2m entries
-    of the CSR from :func:`build_B`.  ``norm`` is ||M||_2, which
-    :func:`norm_bound` returns for it: d_max - 1 for B and 1 for T.
+    half-swap, which removes the backtrack; ``T X`` divides that by D_row.
+    Storage is O(2m) instead of the sum_j d_j^2 - 2m entries of the CSR from
+    :func:`build_B`.  Its norm ||T||_2 is 1, which :func:`norm_bound`
+    returns for it.
     """
 
-    def __init__(self, idx: OrientedEdgeIndex, transition: bool):
+    def __init__(self, idx: OrientedEdgeIndex):
         n2 = 2 * idx.m
         super().__init__(np.float64, (n2, n2))
         self.m = idx.m
         self.end = idx.end
         self.start_t = build_Start(idx).T.tocsr()
-        self.reverse = reversal_permutation(idx.m)
-        self.drow = build_D_row(idx) if transition else None
-        self.norm = 1.0 if transition else float(idx.degrees.max(initial=1) - 1)
+        self.drow = build_D_row(idx)
 
     def _matmat(self, X):
         # the product runs on the rows of X.T, one vector per row, so a row
@@ -120,26 +116,16 @@ class EdgeOperator(LinearOperator):
         m = self.m
         out[..., :m] -= R[..., m:]
         out[..., m:] -= R[..., :m]
-        if self.drow is not None:
-            out /= self.drow
+        out /= self.drow
         return out.T
 
-    def _rmatmat(self, X):
-        return self._matmat(X[self.reverse])[self.reverse]
-
     _matvec = _matmat
-    _rmatvec = _rmatmat
-
-
-def B_operator(idx: OrientedEdgeIndex) -> EdgeOperator:
-    """Matrix-free B, equal to :func:`build_B` up to summation order."""
-    return EdgeOperator(idx, transition=False)
 
 
 def T_operator(idx: OrientedEdgeIndex) -> EdgeOperator:
     """Matrix-free T, equal to :func:`build_T` up to rounding; same checks."""
     _require_transition(idx)
-    return EdgeOperator(idx, transition=True)
+    return EdgeOperator(idx)
 
 
 def ihara_bass_companion(idx: OrientedEdgeIndex) -> sp.csr_matrix:
@@ -190,12 +176,12 @@ def norm_bound(M) -> float:
     """sqrt(||M||_1 ||M||_inf), an upper bound on the spectral norm ||M||_2.
 
     ``M`` is a nonempty scipy sparse matrix or dense array, or an
-    :class:`EdgeOperator`, whose exact norm is returned.  The bound is exact
+    :class:`EdgeOperator`, whose exact norm 1 is returned.  The bound is exact
     for T, whose row and column sums are all 1, and for B and BV, whose
     largest row and column sums and largest singular value are all d_max - 1.
     """
     if isinstance(M, EdgeOperator):
-        return M.norm
+        return 1.0
     A = abs(M)
     return float(np.sqrt(A.sum(axis=0).max() * A.sum(axis=1).max()))
 

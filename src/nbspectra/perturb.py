@@ -12,10 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import nbmat
 from .errors import BadParameterError, CountMismatchError, RankDeficientError
+
+# directions of [Z, VW] off span(End) at most this times ||[Z, VW]||_F are
+# rounding: reduced_pair drops them
+NULL_RTOL = 1e-12
 
 
 def spectral_condition_number(U: np.ndarray) -> float:
@@ -135,27 +140,69 @@ class BoundReport:
     mu1_sane: bool               # d_min - 1 <= mu_1 <= d_max - 1
 
 
-def rank_k_section(basis) -> LinearOperator:
-    """The rank-k part Z diag(values) W^T of T as a linear operator."""
-    Z, W = basis.Z, basis.W
-    lam = basis.values
+def _low_rank(U: np.ndarray, lam: np.ndarray, V: np.ndarray) -> LinearOperator:
+    """U diag(lam) V^T as a linear operator."""
 
     def mv(x):
-        return Z @ (lam * (W.T @ x))
+        return U @ (lam * (V.T @ x))
 
     def rmv(x):
-        return W @ (lam * (Z.T @ x))
+        return V @ (lam * (U.T @ x))
 
-    n2 = Z.shape[0]
-    return LinearOperator((n2, n2), matvec=mv, rmatvec=rmv, dtype=np.float64)
+    return LinearOperator((U.shape[0], V.shape[0]), matvec=mv, rmatvec=rmv,
+                          dtype=np.float64)
+
+
+def rank_k_section(basis) -> LinearOperator:
+    """The rank-k part Z diag(values) W^T of T as a linear operator."""
+    return _low_rank(basis.Z, basis.values, basis.W)
+
+
+def reduced_pair(idx, basis, mu1: float) -> tuple[LinearOperator, LinearOperator]:
+    """Base and section whose difference has the norm of Z Lambda W^T - B/mu1.
+
+    With E = Z Lambda W^T - B/mu1 and V the reversal, ||E|| = ||E V||, and
+    E V = Z Lambda (VW)^T - (End End^T - I)/mu1 because B V = End End^T - I.
+    E V and its transpose map S = span(End) + span(Z) + span(VW) into itself
+    and act as I/mu1 on its complement.  In the orthonormal basis
+    P = [End D^{-1/2}, Q2] of S, with D = End^T End the node degrees and Q2
+    the part of [Z, VW] off span(End) (its near-null directions, such as the
+    constant z_1, dropped), P^T E V P = c1 Lambda c2^T - diag(D - I, -I)/mu1
+    for c1 = P^T Z and c2 = P^T V W.  The pair returned is that diagonal
+    (the base) and c1 Lambda c2^T (the section), on dimension n + r with
+    r <= 2k, plus one coordinate of value -1/mu1 for the complement when it
+    is nonempty; the norm of their difference is ||E||.
+    """
+    n, n2 = idx.n, 2 * idx.m
+    deg = idx.degrees.astype(np.float64)
+    end_t = nbmat.build_End(idx).T.tocsr()
+    X = np.hstack([basis.Z, idx.swap_halves(basis.W)])
+
+    def off_end(Y):
+        return Y - (end_t @ Y / deg[:, None])[idx.end]
+
+    U, s, _ = np.linalg.svd(off_end(X), full_matrices=False)
+    r = min(np.count_nonzero(s > NULL_RTOL * np.linalg.norm(X)), n2 - n)
+    # project once more, so Q2 is orthogonal to End to rounding
+    Q2 = np.linalg.qr(off_end(U[:, :r]))[0]
+    c = np.vstack([end_t @ X / np.sqrt(deg)[:, None], Q2.T @ X])
+    base = np.concatenate([deg - 1.0, -np.ones(r)]) / mu1
+    if n2 > n + r:
+        c = np.vstack([c, np.zeros((1, c.shape[1]))])
+        base = np.append(base, -1.0 / mu1)
+    k = basis.k
+    return (aslinearoperator(sp.diags(base)),
+            _low_rank(c[:, :k], basis.values, c[:, k:]))
 
 
 def bound_report(idx, basis, mus, seed: int = 0) -> BoundReport:
     """Assemble the full report for a graph, its eigenbasis, and B's reals.
 
-    Base matrix B / mu_1, perturbed matrix = rank-k section of T.  R_paper
-    is the degree-only closed form of :func:`paper_R_bound`, which does not
-    depend on lambda_(k+1).
+    Base matrix B / mu_1, perturbed matrix = rank-k section of T; the
+    difference norm is taken on :func:`reduced_pair`, of dimension at most
+    n + 2k + 1, instead of the 2m edge space.  R_paper is the degree-only
+    closed form of :func:`paper_R_bound`, which does not depend on
+    lambda_(k+1).
     """
     deg = idx.degrees
     d_min, d_max = int(deg.min()), int(deg.max())
@@ -167,9 +214,8 @@ def bound_report(idx, basis, mus, seed: int = 0) -> BoundReport:
     kmatch = min(basis.k, len(mus))
     R_numeric = None
     if kmatch > 0 and mus[0] > 0:
-        base = nbmat.B_operator(idx) * (1.0 / mus[0])
-        R_numeric = bauer_fike_radius(basis.Z, base, rank_k_section(basis),
-                                      seed=seed)
+        R_numeric = bauer_fike_radius(
+            basis.Z, *reduced_pair(idx, basis, mus[0]), seed=seed)
     report = match_and_verify(basis.values[:kmatch], mus[:kmatch],
                               closed, d_min=d_min, d_max=d_max)
     return BoundReport(

@@ -289,7 +289,9 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     can hide below the block).  When a round of ROUND_SWEEPS products stalls
     the block grows once: operators of dimension <= SMALL_DIM jump to full
     dimension, where the projection is exact, while larger ones double it;
-    a stall after that is treated as missing spectral separation.
+    a stall after that is treated as missing spectral separation.  A round
+    at full dimension stalls after STABLE_WINDOW extractions, because
+    further products change nothing there.
     MAX_PRODUCTS bounds the total products across rounds.  ``inner``
     supplies a diagonal metric for the orthogonalization (CholeskyQR2, see
     :func:`_metric_orthonormalize`).  Deterministic for a given seed.  The
@@ -385,6 +387,8 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                         f"only {k - 1} real Ritz value(s) outside the bulk disk "
                         f"of radius {bulk_radius:.6g} after {total_it} sweeps, "
                         f"wanted {k}", found=_pairs(cand, slice(k - 1)))
+            if p == nn and len(history) == STABLE_WINDOW:
+                break       # the projection is exact: more products change nothing
             X = Y
         # stalled: grow the block or give up
         if block_cap <= p or total_it >= MAX_PRODUCTS:

@@ -292,6 +292,17 @@ def test_cluster_run_loads_no_scipy_optimize(tmp_path):
     assert json.loads(read_bytes(tmp_path / "rep.json"))["overlap"] is not None
 
 
+def test_cluster_assign_onto_a_directory_exit_3_leaves_no_temp(tmp_path,
+                                                               capsys):
+    graph = write_k4(tmp_path)
+    (tmp_path / "assign").mkdir()
+    assert main(["cluster", "--graph", graph, "--k", "2",
+                 "--assign", str(tmp_path / "assign"),
+                 "--out", str(tmp_path / "rep.json")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not [p.name for p in tmp_path.iterdir() if ".tmp." in p.name]
+
+
 @pytest.mark.parametrize("bad", [2, -1])
 def test_cluster_truth_label_outside_k_exit_2(bad, tmp_path, capsys):
     graph = write_k4(tmp_path)

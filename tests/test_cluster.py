@@ -303,14 +303,17 @@ def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):
     monkeypatch.setattr(spectra, "leading_real_eigenpairs", caught)
     monkeypatch.setattr(nbmat, "spectral_norm", norm_counted)
     p = nb.SbmParams(n=300, k=2, a=11.0, b=9.0, seed=0)
-    assert 2 * nb.sample(p).graph.m > spectra.AUTO_DENSE_CAP
+    g = nb.sample(p).graph
+    assert 2 * g.m > spectra.AUTO_DENSE_CAP
     rep = nb.pipeline(p, 2, seed=0)
     assert calls == [2]
-    # the iterative solves and the bound run on the matrix-free operators
+    # the iterative solves and the bound build neither CSR
     assert builds == []
-    # Lanczos runs only for the Bauer-Fike difference; the T and B solves
-    # take their residual scale from the entries
+    # Lanczos runs only for the Bauer-Fike difference, on the reduced pair
+    # of dimension n + r + 1 rather than 2m; the T and B solves take their
+    # residual scale from the entries
     assert len(norms) == 1
+    assert g.n < norms[0].shape[0] <= g.n + 2 * 2 + 1 < 2 * g.m
     assert rep["fallback"] is True
     assert rep["lambda"] == [1.0]
     # the T solve under the D_row metric stopped at the bulk disk

@@ -15,6 +15,16 @@ def test_graph_round_trip_with_isolated_node(tmp_path):
     assert np.array_equal(back.edges, g.edges)
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # os.replace cannot put a file over a directory; the temp file must go
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        fileio.write_text_atomic(str(target), "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
+
+
 def test_graph_header_required():
     with pytest.raises(GraphFormatError):
         fileio.parse_graph_text("0\t1\n")

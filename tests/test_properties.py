@@ -4,16 +4,16 @@ and of the graph front end.
 Graphs are drawn at random and reduced to their 2-core.  The examples are
 derandomized so the suite is reproducible; the identities are checked bit
 for bit except the start/end-sum relation, which involves computed
-eigenvectors, and the matrix-free B and T, which match their CSR to
-rounding.  The front end (edge validation, 2-core, components,
+eigenvectors, and the matrix-free T, which matches its CSR to rounding.  The front end (edge validation, 2-core, components,
 bipartiteness) is checked against a per-pair loop and against networkx on
 raw graphs with pendant trees and several components.  The iterative T
 eigenbasis is checked against the dense spectrum on block-model samples on
 both sides of the detection threshold, and the k-means degeneracy check
 against np.unique.  The one-column k-means is checked against the general
 path, and the Ihara-Bass companion route for the leading reals of B against
-the dense spectrum of B and the 2m route.  The overlap score is checked
-against scipy.optimize's assignment solver.
+the dense spectrum of B and the 2m route.  The Bauer-Fike radius on the
+reduced pair of perturb is checked against a dense SVD of the 2m difference.
+The overlap score is checked against scipy.optimize's assignment solver.
 """
 
 import numpy as np
@@ -24,10 +24,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import nbspectra as nb
-from nbspectra import cluster, nbmat, spectra
+from nbspectra import cluster, nbmat, perturb, spectra
 from nbspectra.errors import (
     DegenerateInputError,
     DuplicateEdgeError,
+    EmptyCoreError,
     NodeOutOfRangeError,
     NotEnoughPositiveRealsError,
     SelfLoopError,
@@ -64,7 +65,7 @@ def test_operator_identities_bit_exact(g):
     assert bit_equal(B, sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                                       shape=(n2, n2)))
     assert bit_equal(nbmat.transpose(B), nbmat.conjugate_by_V(B))
-    # the same symmetry for T, from which EdgeOperator takes its adjoint
+    # the same symmetry for T
     T = nb.build_T(idx)
     assert bit_equal(nbmat.transpose(T), nbmat.conjugate_by_V(T))
     End, Start = nb.build_End(idx), nb.build_Start(idx)
@@ -96,19 +97,17 @@ def test_matrix_free_operators_match_the_csr(g, seed):
     idx = nb.oriented_edges(g)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((2 * idx.m, 3))
-    for op, M in ((nbmat.B_operator(idx), nb.build_B(idx)),
-                  (nbmat.T_operator(idx), nb.build_T(idx))):
-        tol = 1e-14 * nbmat.norm_bound(M) * np.abs(X).max()
-        assert op.shape == M.shape
-        assert np.max(np.abs(op @ X - M @ X)) <= tol
-        # the solver's access path: a C-ordered row block, passed as its .T
-        rows = np.ascontiguousarray(X.T)
-        assert np.max(np.abs((op @ rows.T).T - (M @ X).T)) <= tol
-        assert op.matvec(X[:, 0]).shape == (2 * idx.m,)
-        assert np.max(np.abs(op.matvec(X[:, 0]) - M @ X[:, 0])) <= tol
-        assert np.max(np.abs(op.rmatmat(X) - M.T @ X)) <= tol
-        assert nbmat.norm_bound(op) == pytest.approx(nbmat.norm_bound(M),
-                                                      rel=1e-14)
+    op, M = nbmat.T_operator(idx), nb.build_T(idx)
+    tol = 1e-14 * nbmat.norm_bound(M) * np.abs(X).max()
+    assert op.shape == M.shape
+    assert np.max(np.abs(op @ X - M @ X)) <= tol
+    # the solver's access path: a C-ordered row block, passed as its .T
+    rows = np.ascontiguousarray(X.T)
+    assert np.max(np.abs((op @ rows.T).T - (M @ X).T)) <= tol
+    assert op.matvec(X[:, 0]).shape == (2 * idx.m,)
+    assert np.max(np.abs(op.matvec(X[:, 0]) - M @ X[:, 0])) <= tol
+    assert nbmat.norm_bound(op) == pytest.approx(nbmat.norm_bound(M),
+                                                  rel=1e-14)
 
 
 @PROPERTY_SETTINGS
@@ -357,10 +356,47 @@ def test_companion_route_finds_the_leading_reals_of_B(k, a, b, n_lo, n_hi,
         expected = reals[:j]
     else:
         assert 2 * idx.n > spectra.SMALL_DIM
-        expected = nb.leading_real_eigenpairs(nbmat.B_operator(idx), j,
+        expected = nb.leading_real_eigenpairs(nb.build_B(idx), j,
                                               seed=seed).values
     got = spectra.leading_reals_B(idx, j, "iterative", seed=seed)
     assert got == pytest.approx(expected, rel=1e-8)
+
+
+@st.composite
+def sbm_graphs(draw):
+    """A small block-model sample: the 2-core of its giant component."""
+    k, a, b = draw(st.sampled_from([(2, 16.0, 4.0), (2, 11.0, 9.0),
+                                    (3, 24.0, 3.0)]))
+    p = nb.SbmParams(n=draw(st.integers(30, 60)), k=k, a=a, b=b,
+                     seed=draw(st.integers(0, 2 ** 32 - 1)))
+    try:
+        return nb.sample(p).graph
+    except EmptyCoreError:
+        assume(False)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(two_cores(), sbm_graphs()), st.sampled_from([1, 2, 3]))
+def test_reduced_pair_gives_the_bauer_fike_radius(g, k):
+    """||Z Lambda W^T - B/mu_1|| on the n + r dimensional pair, r <= 2k,
+    equals the dense SVD norm in the 2m edge space."""
+    # a cycle or a disconnected core has eigenvalue 1 of T more than once
+    assume(len(nb.connected_components(g)) == 1 and g.degrees.max() > 2)
+    idx = nb.oriented_edges(g)
+    try:
+        basis = nb.real_eigenbasis_T(idx, k, mode="dense")
+    except NotEnoughPositiveRealsError as exc:
+        basis = exc.basis
+    mu1 = spectra.leading_reals_B(idx, 1, "dense")[0]
+    base, section = perturb.reduced_pair(idx, basis, mu1)
+    assert base.shape == section.shape
+    assert base.shape[0] <= idx.n + 2 * basis.k + 1
+    E = (basis.Z @ np.diag(basis.values) @ basis.W.T
+         - nb.build_B(idx).toarray() / mu1)
+    expected = (nb.spectral_condition_number(basis.Z)
+                * np.linalg.svd(E, compute_uv=False)[0])
+    assert nb.bauer_fike_radius(basis.Z, base, section) == pytest.approx(
+        expected, rel=1e-12)
 
 
 def _overlap_oracle(pred, truth, k):

@@ -211,12 +211,14 @@ def test_leading_k4_matches_dense():
     assert np.allclose(res.values, [1.0, 0.5], atol=1e-8)
 
 
-def test_leading_insufficient_reals(monkeypatch):
-    # a pure rotation has no real eigenvalue, so no real Ritz value stabilizes
-    monkeypatch.setattr(spectra, "MAX_PRODUCTS", 50)
+def test_leading_insufficient_reals():
+    # a pure rotation has no real eigenvalue, so no real Ritz value
+    # stabilizes; the 2x2 block is the full space, so the round ends once the
+    # stability window is full
     M = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(NoConvergenceError,
-                       match="^no real Ritz value stabilized after 50 sweeps$"):
+                       match=f"^no real Ritz value stabilized after "
+                             f"{spectra.STABLE_WINDOW} sweeps$"):
         nb.leading_real_eigenpairs(M, 1)
 
 
@@ -347,6 +349,26 @@ def test_small_companion_jumps_to_the_full_block_on_a_stall(n, seed):
     assert res.values[0] == pytest.approx(reals[0], rel=1e-10)
     assert res.values[1] == pytest.approx(1.0, abs=1e-10)
     assert_ritz_contract(C, res)
+
+
+def test_full_block_round_ends_once_the_stability_window_is_full():
+    # asked for one real more than the companion has, the first round stalls
+    # and the full block reads every real exactly; further products at the
+    # full block change nothing, so the round ends after the window
+    g = nb.two_core(nb.sample(nb.SbmParams(n=60, k=2, a=11.0, b=9.0,
+                                           seed=0)).graph)[0]
+    C = nbmat.ihara_bass_companion(nb.oriented_edges(g))
+    assert C.shape[0] <= spectra.SMALL_DIM
+    mus = np.linalg.eigvals(C.toarray())
+    reals = np.sort(mus.real[np.abs(mus.imag) < 1e-8])[::-1]
+    with pytest.raises(InsufficientRealRitzError,
+                       match=f"^only {len(reals)} real Ritz value") as info:
+        nb.leading_real_eigenpairs(C, len(reals) + 1, seed=0)
+    found = info.value.found
+    assert found.block_size == C.shape[0]
+    assert found.iterations <= spectra.ROUND_SWEEPS + spectra.STABLE_WINDOW
+    assert found.values == pytest.approx(reals, abs=1e-8)
+    assert_ritz_contract(C, found)
 
 
 def test_leading_matches_dense_on_sbm():
