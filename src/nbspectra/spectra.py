@@ -42,7 +42,7 @@ STABLE_WINDOW = 5         # ... over this many consecutive extractions
 WINDOW_PRODUCTS = 4       # products of M per extraction while the bulk window counts
 SMALL_DIM = 512           # operators up to this dimension take the full block on a stall
 BULK_MARGIN = 0.05        # a value is structural beyond (1 + this) * bulk radius
-CHOLQR_MAX_COND = 1e6     # CholeskyQR2 falls back to Householder QR above this
+CHOLQR_MAX_COND = 1e3     # Householder QR above this cond(L); one CholeskyQR pass loses cond^2 u
 
 PERRON = "perron"
 STRUCTURAL_REAL = "structural_real"
@@ -226,23 +226,23 @@ def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
     """Rows Q spanning the rows of X with Q D Q^T = I, D = diag(d) (identity
     if None).
 
-    CholeskyQR2 on the rows: Q = inv(L) X with L L^T = X D X^T, applied
-    twice, the second pass restoring the orthogonality the first loses to
-    rounding.  Blocks the first Cholesky factor shows to be ill-conditioned
-    (cond(L) = cond(X) above CHOLQR_MAX_COND) or that Cholesky rejects take
-    Householder QR instead.
+    One scaled CholeskyQR pass: with G = X D X^T and s = diag(G)^(-1/2),
+    Q = inv(L) diag(s) X where L L^T = diag(s) G diag(s), blind to the scale
+    of each row and losing about cond(L)^2 u of orthogonality.  A Gram
+    diagonal that is not positive and finite, a Cholesky failure or cond(L)
+    above CHOLQR_MAX_COND send the block to Householder QR instead.
     """
-    Q = X
-    for first in (True, False):
-        gram = Q @ (Q if d is None else Q * d).T
+    gram = X @ (X if d is None else X * d).T
+    g = np.diagonal(gram)
+    if np.all(np.isfinite(g) & (g > 0)):
+        s = 1.0 / np.sqrt(g)
         try:
-            L = np.linalg.cholesky(gram)
+            L = np.linalg.cholesky(gram * s * s[:, None])
+            if np.linalg.cond(L) <= CHOLQR_MAX_COND:
+                return (np.linalg.inv(L) * s) @ X
         except np.linalg.LinAlgError:
-            return _householder_orthonormalize(X, d)
-        if first and np.linalg.cond(L) > CHOLQR_MAX_COND:
-            return _householder_orthonormalize(X, d)
-        Q = np.linalg.inv(L) @ Q
-    return Q
+            pass
+    return _householder_orthonormalize(X, d)
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -293,9 +293,9 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     at full dimension stalls after STABLE_WINDOW extractions, because
     further products change nothing there.
     MAX_PRODUCTS bounds the total products across rounds.  ``inner``
-    supplies a diagonal metric for the orthogonalization (CholeskyQR2, see
-    :func:`_metric_orthonormalize`).  Deterministic for a given seed.  The
-    result's ``iterations`` counts the products and ``extractions`` the
+    supplies a diagonal metric for the orthogonalization (one scaled
+    CholeskyQR pass, see :func:`_metric_orthonormalize`).  Deterministic for
+    a given seed.  ``iterations`` counts products, ``extractions`` the
     Rayleigh-Ritz steps.
 
     ``bulk_radius`` is the radius of the disk that holds all but the
@@ -308,10 +308,10 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     margin gains at least that factor per product on the bulk, so by then
     it would have outgrown its 1/sqrt(dim) share of the random start.
     Because the argument holds per product, the solve extracts only every
-    WINDOW_PRODUCTS products while the window counts; in between it
-    rescales each vector to unit norm and orthonormalizes only before the
-    extraction (multiple-step subspace iteration).  Values with nonpositive
-    real part do not count, because the caller keeps only positive reals.
+    WINDOW_PRODUCTS products while the window counts, applying M to the
+    raw block in between (multiple-step subspace iteration; the scaled
+    CholeskyQR ignores row scale).  Values with nonpositive real part do
+    not count, because the caller keeps only positive reals.
     Smaller operators ignore the radius, because their block grows to the
     exact full projection, which also finds real values inside the disk.
 
@@ -348,11 +348,11 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
         inside = 0    # products since the k-th positive Ritz entered the disk
         end = min(total_it + ROUND_SWEEPS, MAX_PRODUCTS)
         while total_it < end:
-            # while the window counts, run ahead on rows rescaled to unit
-            # norm and orthonormalize only before the extraction
+            # while the window counts, run ahead on the raw rows and
+            # orthonormalize only before the extraction
             steps = min(WINDOW_PRODUCTS, end - total_it) if inside else 1
             for _ in range(steps - 1):
-                X = (M @ (X / _row_norms(X)[:, None]).T).T
+                X = (M @ X.T).T
             Q = _metric_orthonormalize(X, d)
             total_it += steps
             extractions += 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,35 +175,70 @@ def _metric_block(rng, cond, rank=None):
     return (U * s) @ V / np.sqrt(d)[:, None], d
 
 
-def test_metric_orthonormalize_cholesky_and_householder_fallback(monkeypatch):
-    householder = []
+@pytest.fixture
+def householder_calls(monkeypatch):
+    """The shapes of the blocks sent to Householder QR, in call order."""
+    calls = []
     orig = spectra._householder_orthonormalize
 
     def spy(X, d):
-        householder.append(X.shape)
+        calls.append(X.shape)
         return orig(X, d)
 
     monkeypatch.setattr(spectra, "_householder_orthonormalize", spy)
-    # the solver's block holds one vector per row: pass X.T, a 6 x 3000 block
+    return calls
+
+
+def _assert_orthonormal_span(Q, X, d, tol):
+    """Q D Q^T = I to ``tol`` and the rows of X lie in the span of Q's."""
+    w = np.ones(X.shape[1]) if d is None else d
+    assert Q.shape == X.shape
+    assert np.abs(Q @ (Q * w).T - np.eye(len(Q))).max() <= tol
+    # same span: X is its own projection onto the rows of Q
+    proj = (X * w) @ Q.T @ Q
+    assert np.abs(proj - X).max() <= 1e-12 * np.abs(X).max()
+
+
+def test_metric_orthonormalize_cholesky_and_householder_fallback(
+        householder_calls):
+    # the solver's block holds one vector per row: pass X.T, a 6 x 3000
+    # block; one CholeskyQR pass loses about cond^2 u of orthogonality
     rng = np.random.default_rng(7)
     X, d = _metric_block(rng, cond=10.0)
     for metric in (d, None):
         Q = spectra._metric_orthonormalize(X.T, metric)
-        w = np.ones(len(d)) if metric is None else metric
-        assert Q.shape == (6, 3000)
-        assert np.abs(Q @ (Q * w).T - np.eye(6)).max() <= 1e-14
-        # same span: X is its own projection onto span(Q)
-        proj = Q.T @ (Q @ (w[:, None] * X))
-        assert np.abs(proj - X).max() <= 1e-12 * np.abs(X).max()
-    assert householder == []
+        _assert_orthonormal_span(Q, X.T, metric, 1e-13)
+    assert householder_calls == []
 
-    # cond 1e7 and 1e9: Cholesky succeeds, but cond(L) is past
+    # cond 1e4, 1e7 and 1e9: Cholesky succeeds, but cond(L) is past
     # CHOLQR_MAX_COND; rank 4: Cholesky rejects the Gram matrix
-    for X, d in (_metric_block(rng, cond=1e7), _metric_block(rng, cond=1e9),
-                 _metric_block(rng, 10.0, rank=4)):
+    for X, d in (_metric_block(rng, cond=1e4), _metric_block(rng, cond=1e7),
+                 _metric_block(rng, cond=1e9), _metric_block(rng, 10.0, rank=4)):
         Q = spectra._metric_orthonormalize(X.T, d)
         assert np.abs(Q @ (Q * d).T - np.eye(6)).max() <= 1e-12
-    assert householder == [X.T.shape] * 3
+    assert householder_calls == [X.T.shape] * 4
+
+
+def test_metric_orthonormalize_ignores_the_scale_of_each_row(householder_calls):
+    # without the diag(G)^(-1/2) scaling, cond(L) here would be about 2e12
+    X, d = _metric_block(np.random.default_rng(11), cond=10.0)
+    X = X.T * np.geomspace(1e-6, 1e6, 6)[:, None]
+    for metric in (d, None):
+        Q = spectra._metric_orthonormalize(X, metric)
+        _assert_orthonormal_span(Q, X, metric, 1e-13)
+    assert householder_calls == []
+
+
+def test_metric_orthonormalize_sends_a_zero_row_to_householder(
+        householder_calls):
+    X, d = _metric_block(np.random.default_rng(13), cond=10.0)
+    X = X.T.copy()
+    X[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        Q = spectra._metric_orthonormalize(X, d)
+    _assert_orthonormal_span(Q, X, d, 1e-12)
+    assert householder_calls == [X.shape]
 
 
 def test_leading_k4_matches_dense():
@@ -256,25 +292,18 @@ def test_leading_stops_once_kth_ritz_value_is_in_bulk():
         assert_ritz_contract(M, found)
 
 
-def _null_T():
-    """T of the 2-core of one null-regime sample (a=11, b=9, n=2000), with
-    its D_row and bulk radius 1/sqrt(c - 1)."""
-    g = nb.sample(nb.SbmParams(n=2000, k=2, a=11.0, b=9.0, seed=0)).graph
+def _sbm_T(a=11.0, b=9.0):
+    """T of the 2-core of one block-model sample (null regime a=11, b=9 by
+    default, n=2000), with its D_row and bulk radius 1/sqrt(c - 1)."""
+    g = nb.sample(nb.SbmParams(n=2000, k=2, a=a, b=b, seed=0)).graph
     idx = nb.oriented_edges(nb.two_core(g)[0])
     return (nbmat.T_operator(idx), nb.build_D_row(idx),
             1.0 / math.sqrt(2.0 * idx.m / idx.n - 1.0))
 
 
-def test_leading_batches_products_while_the_bulk_window_counts(monkeypatch):
-    householder = []
-    orig = spectra._householder_orthonormalize
-
-    def spy(X, d):
-        householder.append(X.shape)
-        return orig(X, d)
-
-    monkeypatch.setattr(spectra, "_householder_orthonormalize", spy)
-    T, drow, radius = _null_T()
+def test_leading_batches_products_while_the_bulk_window_counts(
+        householder_calls):
+    T, drow, radius = _sbm_T()
     for M, kwargs in ((_bulk_operator(0.3), {"bulk_radius": 0.3}),
                       (T, {"inner": drow, "bulk_radius": radius})):
         assert M.shape[0] > spectra.SMALL_DIM
@@ -288,8 +317,21 @@ def test_leading_batches_products_while_the_bulk_window_counts(monkeypatch):
                 <= window + spectra.STABLE_WINDOW + spectra.WINDOW_PRODUCTS)
         assert found.values == pytest.approx([1.0], abs=1e-10)
         assert_ritz_contract(M, found)
-    # the batched products keep CholeskyQR2 well conditioned
-    assert householder == []
+    # the raw batched products keep the scaled CholeskyQR well conditioned
+    assert householder_calls == []
+
+
+def test_leading_work_counts_of_the_n2000_T_solves():
+    # (iterations, extractions, block_size): the null solve stops at the
+    # bulk disk, the main-regime one converges after a short window
+    T, drow, radius = _sbm_T()
+    with pytest.raises(InsufficientRealRitzError, match="bulk disk") as info:
+        nb.leading_real_eigenpairs(T, 2, inner=drow, bulk_radius=radius)
+    found = info.value.found
+    assert (found.iterations, found.extractions, found.block_size) == (105, 27, 6)
+    T, drow, radius = _sbm_T(a=16.0, b=4.0)
+    res = nb.leading_real_eigenpairs(T, 2, inner=drow, bulk_radius=radius)
+    assert (res.iterations, res.extractions, res.block_size) == (33, 27, 6)
 
 
 def test_leading_counts_one_extraction_per_product_outside_the_window():
