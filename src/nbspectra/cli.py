@@ -111,9 +111,8 @@ def cmd_bound(args) -> int:
     g = fileio.read_graph(args.graph)
     core, _ = two_core(g)
     idx = oriented_edges(core)
-    mode = spectra.auto_mode(idx)
-    basis = spectra.real_eigenbasis_T(idx, args.k, mode=mode, seed=seed)
-    mus = spectra.leading_reals_B(idx, args.k, mode, seed=seed)
+    basis = spectra.real_eigenbasis_T(idx, args.k, mode="iterative", seed=seed)
+    mus = spectra.leading_reals_B(idx, args.k, seed=seed)
     report = perturb.bound_report(idx, basis, mus, seed=seed)
     _emit(fileio.to_json(dataclasses.asdict(report)) + "\n", args.out)
     return 0

@@ -323,19 +323,19 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     planted labels become the truth).  A SimpleGraph is reduced to its 2-core
     first; ``truth`` then labels the nodes of the input graph, one per node
     (CountMismatchError otherwise), and is restricted to the core.
-    Eigenpairs of T and the leading reals of B are solved dense when 2m <=
-    spectra.AUTO_DENSE_CAP, iteratively otherwise.  mode 'edge_vote' clusters
+    Eigenpairs of T and the leading reals of B are solved iteratively at
+    every size, B's on its Ihara-Bass companion.  mode 'edge_vote' clusters
     the oriented-edge embedding (:func:`edge_embedding`) and majority-votes
     per end node; 'deflate' clusters node representatives and falls back to
     edge voting when the deflation loses the signal.  The
     eigenbasis of T is solved once: if only j < k positive real eigenvalues
     are found, the run degrades to the j-dimensional basis that solve
     already assembled (recorded in the fallback flag) instead of failing;
-    the below-threshold regime lands here by construction, and there the
-    iterative solve stops as soon as the k-th Ritz value sits inside the
-    bulk disk.  The B reals and the bound are best effort: a partial B solve
-    is used as far as it goes, and the bound is skipped (mu empty, radii
-    None) when no positive mu_1 is found.
+    the below-threshold regime lands here by construction, and there, for
+    2m above spectra.SMALL_DIM, the solve stops as soon as the k-th Ritz
+    value sits inside the bulk disk.  The B reals and the bound are best
+    effort: a partial B solve is used as far as it goes, and the bound is
+    skipped (mu empty, radii None) when no positive mu_1 is found.
 
     Returns a report dict with the fixed key set {lambda, mu, R_paper,
     R_numeric, objective, overlap, mode, fallback, seeds}; with
@@ -365,11 +365,10 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     if g.n == 0:
         raise BadParameterError("graph reduced to nothing; cannot cluster")
     idx = oriented_edges(g)
-    eig_mode = spectra.auto_mode(idx)
 
     fallback = False
     try:
-        basis = spectra.real_eigenbasis_T(idx, k, mode=eig_mode, seed=seed)
+        basis = spectra.real_eigenbasis_T(idx, k, mode="iterative", seed=seed)
     except NotEnoughPositiveRealsError as exc:
         if exc.basis is None:
             raise NoConvergenceError(
@@ -405,7 +404,7 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
         ov = overlap(node_labels, np.asarray(truth), k)
 
     try:
-        mus = spectra.leading_reals_B(idx, basis.k, eig_mode, seed=seed)
+        mus = spectra.leading_reals_B(idx, basis.k, seed=seed)
     except (InsufficientRealRitzError, NoConvergenceError) as exc:
         found = getattr(exc, "found", None)
         mus = found.values[: basis.k] if found is not None else []

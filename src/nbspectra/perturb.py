@@ -153,11 +153,6 @@ def _low_rank(U: np.ndarray, lam: np.ndarray, V: np.ndarray) -> LinearOperator:
                           dtype=np.float64)
 
 
-def rank_k_section(basis) -> LinearOperator:
-    """The rank-k part Z diag(values) W^T of T as a linear operator."""
-    return _low_rank(basis.Z, basis.values, basis.W)
-
-
 def reduced_pair(idx, basis, mu1: float) -> tuple[LinearOperator, LinearOperator]:
     """Base and section whose difference has the norm of Z Lambda W^T - B/mu1.
 

@@ -1,7 +1,8 @@
 """Eigendecomposition, spectrum classification, and the real eigenbasis of T.
 
-Dense decompositions serve small operators; a block orthogonal iteration with
-Rayleigh-Ritz extraction serves large sparse ones.  The real eigenbasis
+Dense decompositions give the full spectrum of small operators; a block
+orthogonal iteration with Rayleigh-Ritz extraction finds the leading reals
+at any size, and is the route of pipeline and bound.  The real eigenbasis
 packages the leading positive real eigenpairs of the transition matrix with
 their paired left vectors and per-pair diagnostics (reversal pairing,
 norms, per-node start/end sums, eigen-residuals).
@@ -29,7 +30,6 @@ from .errors import (
 from .graph import OrientedEdgeIndex, SimpleGraph, connected_components
 
 DENSE_CAP = 6000          # no dense decomposition above this dimension
-AUTO_DENSE_CAP = 2000     # bound and pipeline solve dense up to this 2m
 TAU_IM = 1e-8             # a value is real when |imag| <= TAU_IM * (1 + |value|)
 CLUSTER_RTOL = 1e-7       # consecutive real eigenvalues this close are one cluster
 
@@ -73,11 +73,6 @@ class Spectrum:
 
     def real_values(self) -> np.ndarray:
         return self.values.real[is_real(self.values)]
-
-    def count_class(self, cls: str) -> int:
-        if self.classes is None:
-            return 0
-        return sum(1 for c in self.classes if c == cls)
 
     def structural(self) -> np.ndarray:
         """Real parts of entries classed perron or structural_real."""
@@ -251,9 +246,9 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _leading_stable(history: deque, ok: np.ndarray, j: int) -> bool:
-    """The j leading candidates held within VALUE_RTOL over the last
-    STABLE_WINDOW sweeps and pass the residual test in this one."""
-    if len(history) < STABLE_WINDOW or any(len(h) < j for h in history):
+    """The j leading candidates held within VALUE_RTOL over a full
+    ``history`` window and pass the residual test in this sweep."""
+    if len(history) < history.maxlen or any(len(h) < j for h in history):
         return False
     ref = history[-1][:j]
     stable = all(np.max(np.abs(h[:j] - ref) / (1.0 + np.abs(ref))) <= VALUE_RTOL
@@ -289,9 +284,9 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     can hide below the block).  When a round of ROUND_SWEEPS products stalls
     the block grows once: operators of dimension <= SMALL_DIM jump to full
     dimension, where the projection is exact, while larger ones double it;
-    a stall after that is treated as missing spectral separation.  A round
-    at full dimension stalls after STABLE_WINDOW extractions, because
-    further products change nothing there.
+    a stall after that is treated as missing spectral separation.  At full
+    dimension one extraction decides: its values count as stable, and the
+    round ends after it, because further products change nothing there.
     MAX_PRODUCTS bounds the total products across rounds.  ``inner``
     supplies a diagonal metric for the orthogonalization (one scaled
     CholeskyQR pass, see :func:`_metric_orthonormalize`).  Deterministic for
@@ -344,7 +339,8 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     total_it = extractions = 0
     best = None     # retained pairs of the sweep that retained the most
     while True:
-        history = deque(maxlen=STABLE_WINDOW)
+        # at the full block one extraction is the whole window (see below)
+        history = deque(maxlen=STABLE_WINDOW if p < nn else 1)
         inside = 0    # products since the k-th positive Ritz entered the disk
         end = min(total_it + ROUND_SWEEPS, MAX_PRODUCTS)
         while total_it < end:
@@ -387,7 +383,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                         f"only {k - 1} real Ritz value(s) outside the bulk disk "
                         f"of radius {bulk_radius:.6g} after {total_it} sweeps, "
                         f"wanted {k}", found=_pairs(cand, slice(k - 1)))
-            if p == nn and len(history) == STABLE_WINDOW:
+            if p == nn:
                 break       # the projection is exact: more products change nothing
             X = Y
         # stalled: grow the block or give up
@@ -497,11 +493,13 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
                       seed: int = 0) -> RealEigenBasis:
     """Build the k-dimensional real eigenbasis of the transition matrix.
 
-    mode 'dense' decomposes the full CSR matrix, 'iterative' runs the block
-    iteration on the matrix-free T (:func:`nbmat.T_operator`) under the
-    D_row metric, given the bulk radius 1/sqrt(c - 1) with c = 2m/n so that
-    it stops once the k-th Ritz value has settled inside the bulk disk (see
-    leading_real_eigenpairs); dense decompositions are capped at DENSE_CAP.
+    mode 'iterative', the route of ``pipeline`` and ``bound``, runs the
+    block iteration on the matrix-free T (:func:`nbmat.T_operator`) under
+    the D_row metric, given the bulk radius 1/sqrt(c - 1) with c = 2m/n so
+    that above SMALL_DIM it stops once the k-th Ritz value has settled
+    inside the bulk disk (see leading_real_eigenpairs).  mode 'dense'
+    decomposes the full CSR matrix, capped at DENSE_CAP, and also counts
+    positive reals inside the bulk disk.
     Requires a connected 2-core that is not a cycle, checked from the index
     itself.
 
@@ -637,25 +635,14 @@ def _basis_from_pairs(idx: OrientedEdgeIndex, T, drow: np.ndarray,
     return RealEigenBasis(k=k, values=values, Z=Z, W=W, diagnostics=diagnostics)
 
 
-def auto_mode(idx: OrientedEdgeIndex) -> str:
-    """'dense' when the oriented-edge dimension 2m is at most AUTO_DENSE_CAP,
-    else 'iterative': bound and pipeline pick their solver by size alone."""
-    return "dense" if 2 * idx.m <= AUTO_DENSE_CAP else "iterative"
+def leading_reals_B(idx: OrientedEdgeIndex, k: int, seed: int = 0) -> np.ndarray:
+    """The k leading real eigenvalues of B, descending.
 
-
-def leading_reals_B(idx: OrientedEdgeIndex, k: int, mode: str,
-                    seed: int = 0) -> np.ndarray:
-    """Leading real eigenvalues of B, descending, at most k of them.
-
-    mode 'dense' reads them off the full spectrum of the CSR B; otherwise
-    the block iteration runs on the 2n x 2n Ihara-Bass companion
+    The block iteration runs on the 2n x 2n Ihara-Bass companion
     (:func:`nbmat.ihara_bass_companion`), whose real eigenvalues above 1 are
     those of B, and its InsufficientRealRitzError / NoConvergenceError
     propagate (the former carries the partial result in ``found``).
     """
-    if mode == "dense":
-        spec, _ = dense_eigendecomposition(nbmat.build_B(idx), source="B")
-        return np.sort(spec.real_values())[::-1][:k]
     return leading_real_eigenpairs(nbmat.ihara_bass_companion(idx), k,
                                    seed=seed).values
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import LinearOperator
 
 import nbspectra as nb
 from nbspectra import nbmat
@@ -95,6 +96,16 @@ def multiset_match_distance(xs, ys):
     cost = np.abs(xs[:, None] - ys[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def rank_k_section(basis):
+    """The rank-k part Z diag(values) W^T of T as a linear operator, in the
+    2m edge space: the oracle for the reduced pair of bound_report."""
+    Z, lam, W = basis.Z, basis.values, basis.W
+    return LinearOperator((Z.shape[0], W.shape[0]),
+                          matvec=lambda x: Z @ (lam * (W.T @ x)),
+                          rmatvec=lambda x: W @ (lam * (Z.T @ x)),
+                          dtype=np.float64)
 
 
 def assert_ritz_contract(M, res):

@@ -252,6 +252,23 @@ def test_bound_reports_the_mu1_sanity_check(tmp_path):
     assert list(rep)[-1] == "mu1_sane"
 
 
+def test_bound_and_pipeline_take_no_dense_solve(tmp_path, monkeypatch):
+    # both solve T and B iteratively at every size, n=40 included
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigendecomposition called")
+
+    monkeypatch.setattr(spectra, "dense_eigendecomposition", dense)
+    p = nb.SbmParams(n=40, k=2, a=16.0, b=4.0, seed=3)
+    rep = nb.pipeline(p, 2, seed=3)
+    assert rep["R_paper"] is not None
+    graph = str(tmp_path / "graph.tsv")
+    fileio.write_text_atomic(graph, fileio.graph_to_text(nb.sample(p).graph))
+    assert main(["bound", "--graph", graph, "--k", "2", "--seed", "3",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    assert json.loads(read_bytes(tmp_path / "b.json"))["R_paper"] == \
+        rep["R_paper"]
+
+
 def test_cluster_with_truth_overlap_range(tmp_path):
     d = tmp_path / "gen"
     assert main(["gen", "--n", "300", "--k", "2", "--a", "16", "--b", "4",

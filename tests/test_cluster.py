@@ -266,6 +266,16 @@ def test_pipeline_labels_the_nodes_of_the_input_graph():
     assert np.array_equal(labels[table >= 0], core_labels)
 
 
+def test_pipeline_null_regime_falls_back_at_n60():
+    # 2m = 596 is above SMALL_DIM, so the T solve stops at the bulk disk, as
+    # it does at n=2000, and keeps no real from inside it
+    p = nb.SbmParams(n=60, k=2, a=11.0, b=9.0, seed=0)
+    assert 2 * nb.sample(p).graph.m > spectra.SMALL_DIM
+    rep = nb.pipeline(p, 2, seed=0)
+    assert rep["fallback"] is True
+    assert rep["lambda"] == [1.0]
+
+
 def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):
     calls = []
     solve = spectra.real_eigenbasis_T
@@ -304,7 +314,6 @@ def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):
     monkeypatch.setattr(nbmat, "spectral_norm", norm_counted)
     p = nb.SbmParams(n=300, k=2, a=11.0, b=9.0, seed=0)
     g = nb.sample(p).graph
-    assert 2 * g.m > spectra.AUTO_DENSE_CAP
     rep = nb.pipeline(p, 2, seed=0)
     assert calls == [2]
     # the iterative solves and the bound build neither CSR

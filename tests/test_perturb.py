@@ -9,7 +9,7 @@ from nbspectra.errors import (
     RankDeficientError,
 )
 
-from conftest import k4, petersen
+from conftest import k4, petersen, rank_k_section
 
 
 def test_condition_number_identity():
@@ -50,7 +50,7 @@ def test_bauer_fike_k4_rank_k_section():
     basis = nb.real_eigenbasis_T(idx, 2)
     B = nb.build_B(idx)
     R = nb.bauer_fike_radius(basis.Z, B.toarray() / 2.0,
-                             perturb.rank_k_section(basis))
+                             rank_k_section(basis))
     assert R >= 0
     # regular graph: T = B/2 shares eigenvectors with B, deviations vanish
     rep = nb.match_and_verify(basis.values, np.array([2.0, 1.0]), R,
