@@ -331,9 +331,9 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     eigenbasis of T is solved once: if only j < k positive real eigenvalues
     are found, the run degrades to the j-dimensional basis that solve
     already assembled (recorded in the fallback flag) instead of failing;
-    the below-threshold regime lands here by construction, and there, for
-    2m above spectra.SMALL_DIM, the solve stops as soon as the k-th Ritz
-    value sits inside the bulk disk.  The B reals and the bound are best
+    the below-threshold regime lands here by construction, and there the
+    solve ends once the k-th Ritz value has sat inside the bulk disk (see
+    spectra.leading_real_eigenpairs).  The B reals and the bound are best
     effort: a partial B solve is used as far as it goes, and the bound is
     skipped (mu empty, radii None) when no positive mu_1 is found.
 

@@ -40,7 +40,7 @@ RESIDUAL_RTOL = 1e-6      # a Ritz pair is kept when its residual <= this * ||M|
 VALUE_RTOL = 1e-8         # leading Ritz values count as stable within this
 STABLE_WINDOW = 5         # ... over this many consecutive extractions
 WINDOW_PRODUCTS = 4       # products of M per extraction while the bulk window counts
-SMALL_DIM = 512           # operators up to this dimension take the full block on a stall
+SMALL_DIM = 512           # up to this dimension a stall or a full bulk window takes the full block
 BULK_MARGIN = 0.05        # a value is structural beyond (1 + this) * bulk radius
 CHOLQR_MAX_COND = 1e3     # Householder QR above this cond(L); one CholeskyQR pass loses cond^2 u
 
@@ -294,21 +294,21 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     Rayleigh-Ritz steps.
 
     ``bulk_radius`` is the radius of the disk that holds all but the
-    structural eigenvalues.  Given it, k >= 2 and a dimension above
-    SMALL_DIM, the solve stops early once the k - 1 leading candidates pass
-    the tests above and the k-th largest modulus among the Ritz values with
-    positive real part has stayed at or below (1 + BULK_MARGIN) *
-    bulk_radius over ceil(ln sqrt(dim) / ln(1 + BULK_MARGIN)) products
-    between extractions that all found it there: an eigenvalue beyond that
-    margin gains at least that factor per product on the bulk, so by then
-    it would have outgrown its 1/sqrt(dim) share of the random start.
-    Because the argument holds per product, the solve extracts only every
-    WINDOW_PRODUCTS products while the window counts, applying M to the
-    raw block in between (multiple-step subspace iteration; the scaled
+    structural eigenvalues.  Given it and k >= 2, the solve ends once the
+    k-th largest modulus among the Ritz values with positive real part has
+    stayed at or below (1 + BULK_MARGIN) * bulk_radius over
+    ceil(ln sqrt(dim) / ln(1 + BULK_MARGIN)) products between extractions
+    that all found it there: an eigenvalue beyond that margin gains at least
+    that factor per product on the bulk, so by then it would have outgrown
+    its 1/sqrt(dim) share of the random start.  Above SMALL_DIM it stops
+    early, once the k - 1 leading candidates also pass the tests above; up
+    to SMALL_DIM it takes the full block as on a stall, whose exact
+    projection also finds real values inside the disk.  Because the
+    argument holds per product, the solve extracts only every
+    WINDOW_PRODUCTS products while the window counts, applying M to the raw
+    block in between (multiple-step subspace iteration; the scaled
     CholeskyQR ignores row scale).  Values with nonpositive real part do
     not count, because the caller keeps only positive reals.
-    Smaller operators ignore the radius, because their block grows to the
-    exact full projection, which also finds real values inside the disk.
 
     Raises InsufficientRealRitzError (with partial result attached) when
     fewer than k real values stabilize, when the k-th stabilizes below the
@@ -322,7 +322,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
         raise BadParameterError(f"k={k} outside [1, {nn}]")
     d = None if inner is None else np.asarray(inner, dtype=np.float64)
     norm_m = max(nbmat.norm_bound(M), 1e-300)
-    early = bulk_radius is not None and k >= 2 and nn > SMALL_DIM
+    early = bulk_radius is not None and k >= 2
     if early:
         bulk_edge = (1.0 + BULK_MARGIN) * bulk_radius
         bulk_window = math.ceil(math.log(math.sqrt(nn)) / math.log1p(BULK_MARGIN))
@@ -378,6 +378,8 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             if early:
                 kth = np.sort(np.where(theta.real > 0, np.abs(theta), 0.0))[-k]
                 inside = inside + steps if kth <= bulk_edge else 0
+                if inside >= bulk_window and nn <= SMALL_DIM:
+                    break   # the stall handling grows a small block to nn
                 if inside >= bulk_window and _leading_stable(history, ok, k - 1):
                     raise InsufficientRealRitzError(
                         f"only {k - 1} real Ritz value(s) outside the bulk disk "
@@ -457,24 +459,23 @@ def _cluster_real_values(vals: np.ndarray):
     return clusters
 
 
-def _positive_real_pairs_dense(T, k: int):
-    """Leading positive real eigenpairs of T: at least k if there are, else all."""
-    spec, V = dense_eigendecomposition(T, want_vectors=True, source="T")
+def eigenbasis_from_decomposition(idx: OrientedEdgeIndex, k: int, T,
+                                  spec: Spectrum, V) -> RealEigenBasis:
+    """The dense mode of :func:`real_eigenbasis_T`, bar its checks and its
+    shortfall error, on a decomposition (spec, V) of the CSR T at hand."""
     w = spec.values
     pos = np.nonzero(is_real(w) & (w.real > 1e-10))[0]
     order = pos[np.argsort(-w.real[pos])]
-    vals = w.real[order]
-    vecs = np.real(V[:, order])
-    if len(vals) < k:
-        return vals, vecs
-    # keep whole clusters so degenerate eigenspaces are orthonormalized jointly
-    clusters = _cluster_real_values(vals)
-    keep = 0
-    for cl in clusters:
-        keep += len(cl)
-        if keep >= k:
-            break
-    return vals[:keep], vecs[:, :keep]
+    vals, vecs = w.real[order], np.real(V[:, order])
+    if len(vals) >= k:
+        # keep whole clusters so degenerate eigenspaces are orthonormalized jointly
+        keep = 0
+        for cl in _cluster_real_values(vals):
+            keep += len(cl)
+            if keep >= k:
+                break
+        vals, vecs = vals[:keep], vecs[:, :keep]
+    return _basis_from_pairs(idx, T, nbmat.build_D_row(idx), vals, vecs, k)
 
 
 def _positive_real_pairs_iterative(T, k: int, drow: np.ndarray, seed: int,
@@ -495,11 +496,11 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
 
     mode 'iterative', the route of ``pipeline`` and ``bound``, runs the
     block iteration on the matrix-free T (:func:`nbmat.T_operator`) under
-    the D_row metric, given the bulk radius 1/sqrt(c - 1) with c = 2m/n so
-    that above SMALL_DIM it stops once the k-th Ritz value has settled
-    inside the bulk disk (see leading_real_eigenpairs).  mode 'dense'
-    decomposes the full CSR matrix, capped at DENSE_CAP, and also counts
-    positive reals inside the bulk disk.
+    the D_row metric, given the bulk radius 1/sqrt(c - 1) with c = 2m/n:
+    once the k-th Ritz value has settled inside the bulk disk it stops, or
+    up to SMALL_DIM takes the full block (see leading_real_eigenpairs).
+    mode 'dense' decomposes the full CSR matrix, capped at DENSE_CAP, and
+    also counts positive reals inside the bulk disk.
     Requires a connected 2-core that is not a cycle, checked from the index
     itself.
 
@@ -518,6 +519,29 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     j-dimensional basis assembled from the pairs the one solve found, so a
     caller can fall back without solving again.
     """
+    check_eigenbasis_graph(idx, k)
+    if mode == "dense":
+        T = nbmat.build_T(idx)
+        basis = eigenbasis_from_decomposition(
+            idx, k, T, *dense_eigendecomposition(T, want_vectors=True, source="T"))
+    elif mode == "iterative":
+        T = nbmat.T_operator(idx)
+        drow = nbmat.build_D_row(idx)
+        radius = 1.0 / np.sqrt(2.0 * idx.m / idx.n - 1.0)
+        vals, vecs = _positive_real_pairs_iterative(T, k, drow, seed, radius)
+        basis = _basis_from_pairs(idx, T, drow, vals, vecs, k) if len(vals) else None
+    else:
+        raise BadParameterError(f"unknown mode {mode!r}")
+    if basis is None or basis.k < k:
+        stabilized = " stabilized" if mode == "iterative" else ""
+        raise NotEnoughPositiveRealsError(
+            f"only {basis.k if basis else 0} positive real eigenvalues"
+            f"{stabilized}, wanted {k}", basis=basis)
+    return basis
+
+
+def check_eigenbasis_graph(idx: OrientedEdgeIndex, k: int) -> None:
+    """The checks of :func:`real_eigenbasis_T` on k and the graph."""
     if k < 1:
         raise BadParameterError(f"k must be positive, got {k}")
     if idx.n == 0 or idx.degrees.min() < 2:
@@ -526,24 +550,6 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
         raise BadParameterError("graph must be connected")
     if np.all(idx.degrees == 2):
         raise BadParameterError("graph must not be a cycle")
-
-    drow = nbmat.build_D_row(idx)
-    if mode == "dense":
-        T = nbmat.build_T(idx)
-        vals, vecs = _positive_real_pairs_dense(T, k)
-    elif mode == "iterative":
-        T = nbmat.T_operator(idx)
-        radius = 1.0 / np.sqrt(2.0 * idx.m / idx.n - 1.0)
-        vals, vecs = _positive_real_pairs_iterative(T, k, drow, seed, radius)
-    else:
-        raise BadParameterError(f"unknown mode {mode!r}")
-    basis = _basis_from_pairs(idx, T, drow, vals, vecs, k) if len(vals) else None
-    if basis is None or basis.k < k:
-        stabilized = " stabilized" if mode == "iterative" else ""
-        raise NotEnoughPositiveRealsError(
-            f"only {basis.k if basis else 0} positive real eigenvalues"
-            f"{stabilized}, wanted {k}", basis=basis)
-    return basis
 
 
 def _basis_from_pairs(idx: OrientedEdgeIndex, T, drow: np.ndarray,

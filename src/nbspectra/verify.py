@@ -8,11 +8,12 @@ of eigenvectors, which provably vanish only in special regimes).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
 from . import nbmat, spectra
-from .errors import NotEnoughPositiveRealsError
 from .graph import (
     SimpleGraph,
     connected_components,
@@ -59,8 +60,27 @@ def _csr_bit_equal(A, B) -> float:
     return float(np.max(np.abs(diff.data))) if diff.nnz else float("inf")
 
 
-def suite_pt(g: SimpleGraph):
-    idx = oriented_edges(g)
+class _Run:
+    """What the suites of one run share: the oriented-edge index, and T and
+    its one dense decomposition, made on first use and with vectors only if
+    a suite that reads them was asked for."""
+
+    def __init__(self, g: SimpleGraph, suites):
+        self.g, self.idx = g, oriented_edges(g)
+        self.vectors = not {"sums", "theorem1"}.isdisjoint(suites)
+
+    @cached_property
+    def T(self):
+        return nbmat.build_T(self.idx)
+
+    @cached_property
+    def eig(self):
+        return spectra.dense_eigendecomposition(
+            self.T, want_vectors=self.vectors, source="T")
+
+
+def suite_pt(run: _Run):
+    idx = run.idx
     B = nbmat.build_B(idx)
     End = nbmat.build_End(idx)
     Start = nbmat.build_Start(idx)
@@ -96,19 +116,17 @@ def suite_pt(g: SimpleGraph):
     return out
 
 
-def suite_stochastic(g: SimpleGraph):
-    idx = oriented_edges(g)
-    T = nbmat.build_T(idx)
-    ones = np.ones(2 * idx.m)
-    row = float(np.max(np.abs(T @ ones - 1.0)))
-    col = float(np.max(np.abs(T.T @ ones - 1.0)))
+def suite_stochastic(run: _Run):
+    ones = np.ones(2 * run.idx.m)
+    row = float(np.max(np.abs(run.T @ ones - 1.0)))
+    col = float(np.max(np.abs(run.T.T @ ones - 1.0)))
     return [
         _finding("stochastic", "row sums of T", row, STOCHASTIC_TOL),
         _finding("stochastic", "column sums of T", col, STOCHASTIC_TOL),
     ]
 
 
-def suite_svd(g: SimpleGraph):
+def suite_svd(run: _Run):
     """Singular values of B against their closed form, sparse at any size.
 
     B V = End End^T - I is symmetric with eigenvalues d_j - 1 and -1 (2m - n
@@ -118,7 +136,7 @@ def suite_svd(g: SimpleGraph):
     exactly; the -1 multiplicity is dim ker End^T = 2m - rank End.  End, one
     unit entry per row, has the rank of the number of distinct endpoints.
     """
-    idx = oriented_edges(g)
+    idx = run.idx
     n2 = 2 * idx.m
     closed = np.concatenate([idx.degrees - 1.0, -np.ones(max(n2 - idx.n, 0))])
     End = nbmat.build_End(idx)
@@ -138,10 +156,8 @@ def suite_svd(g: SimpleGraph):
                      abs(rank - idx.n), 0.0)]
 
 
-def suite_sums(g: SimpleGraph):
-    idx = oriented_edges(g)
-    T = nbmat.build_T(idx)
-    spec, V = spectra.dense_eigendecomposition(T, want_vectors=True, source="T")
+def suite_sums(run: _Run):
+    spec, V = run.eig
     out = []
     worst_global, worst_reversal, worst_endinfo = 0.0, 0.0, 0.0
     for i, lam in enumerate(spec.values):
@@ -152,7 +168,7 @@ def suite_sums(g: SimpleGraph):
         nz = np.linalg.norm(z)
         if nz == 0:
             continue
-        ss, es = spectra.node_sums(z, idx)
+        ss, es = spectra.node_sums(z, run.idx)
         worst_reversal = max(worst_reversal,
                              float(np.max(np.abs(ss - lam * es)) / nz))
         if abs(lam - 1.0) > 1e-8:
@@ -168,16 +184,11 @@ def suite_sums(g: SimpleGraph):
     return out
 
 
-def suite_theorem1(g: SimpleGraph):
-    idx = oriented_edges(g)
-    try:
-        basis = spectra.real_eigenbasis_T(idx, 2, mode="dense")
-    except NotEnoughPositiveRealsError as exc:
-        if exc.basis is None:
-            raise
-        basis = exc.basis
+def suite_theorem1(run: _Run):
+    spectra.check_eigenbasis_graph(run.idx, 2)
+    basis = spectra.eigenbasis_from_decomposition(run.idx, 2, run.T, *run.eig)
     k = basis.k
-    drow = nbmat.build_D_row(idx)
+    drow = nbmat.build_D_row(run.idx)
     gram = basis.Z.T @ (drow[:, None] * basis.Z) - np.eye(k)
     bi = basis.Z.T @ basis.W - np.eye(k)
     out = [
@@ -194,11 +205,9 @@ def suite_theorem1(g: SimpleGraph):
     return out
 
 
-def suite_bipartite(g: SimpleGraph):
-    idx = oriented_edges(g)
-    T = nbmat.build_T(idx)
-    spec, _ = spectra.dense_eigendecomposition(T, source="T")
-    bip, _, _ = is_bipartite(g)
+def suite_bipartite(run: _Run):
+    spec, _ = run.eig
+    bip, _, _ = is_bipartite(run.g)
     dist_minus1 = float(np.min(np.abs(spec.values + 1.0)))
     has_minus1 = dist_minus1 <= TOL
     agree = has_minus1 == bip
@@ -206,14 +215,12 @@ def suite_bipartite(g: SimpleGraph):
                      0.0 if agree else max(dist_minus1, 1.0), TOL)]
 
 
-def suite_components(g: SimpleGraph):
-    idx = oriented_edges(g)
-    L = nbmat.build_L(idx)
-    spec, _ = spectra.dense_eigendecomposition(L, source="L")
-    comps = connected_components(g)
+def suite_components(run: _Run):
+    spec, _ = run.eig
+    comps = connected_components(run.g)
     # a component is a cycle exactly when each of its nodes has degree 2
-    any_cycle = any(np.all(idx.degrees[comp] == 2) for comp in comps)
-    zero_mult = int(np.sum(np.abs(spec.values) <= TOL))
+    any_cycle = any(np.all(run.idx.degrees[comp] == 2) for comp in comps)
+    zero_mult = int(np.sum(np.abs(1.0 - spec.values) <= TOL))  # L = I - T
     if any_cycle:
         return [_finding("components",
                          "0-multiplicity of L (cycle component present)",
@@ -237,10 +244,12 @@ _SUITE_FUNCS = {
 
 def run_suites(g: SimpleGraph, suites=None):
     """Run the requested suites; returns (all_assertive_passed, findings)."""
+    suites = tuple(suites or ALL_SUITES)
+    run = _Run(g, suites)
     findings = []
-    for name in suites or ALL_SUITES:
+    for name in suites:
         if name not in _SUITE_FUNCS:
             raise KeyError(f"unknown suite {name!r}")
-        findings.extend(_SUITE_FUNCS[name](g))
+        findings.extend(_SUITE_FUNCS[name](run))
     ok = all(f["pass"] for f in findings)
     return ok, findings

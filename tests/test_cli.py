@@ -165,6 +165,28 @@ def test_verify_pt_stays_sparse_on_many_nodes():
     assert peak < 20e6
 
 
+def test_verify_builds_one_index_and_one_decomposition(monkeypatch):
+    g = nb.sample(nb.SbmParams(n=40, k=2, a=16.0, b=4.0, seed=0)).graph
+    decompose, index = spectra.dense_eigendecomposition, verify.oriented_edges
+    vectors, indexes = [], []
+
+    def spy_decompose(M, want_vectors=False, source=""):
+        vectors.append(want_vectors)
+        return decompose(M, want_vectors, source)
+
+    def spy_index(graph):
+        indexes.append(graph)
+        return index(graph)
+
+    monkeypatch.setattr(spectra, "dense_eigendecomposition", spy_decompose)
+    monkeypatch.setattr(verify, "oriented_edges", spy_index)
+    ok, _ = verify.run_suites(g)
+    assert ok and vectors == [True] and len(indexes) == 1
+    vectors.clear()
+    verify.run_suites(g, ["bipartite", "components"])
+    assert vectors == [False]
+
+
 def test_verify_corrupt_file_exit_3(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("0\t1\n")          # missing n= header

@@ -24,16 +24,18 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import nbspectra as nb
-from nbspectra import cluster, nbmat, perturb, spectra
+from nbspectra import cluster, nbmat, perturb, spectra, verify
 from nbspectra.errors import (
     DegenerateInputError,
     DuplicateEdgeError,
     EmptyCoreError,
+    NbspectraError,
     NodeOutOfRangeError,
     NotEnoughPositiveRealsError,
     SelfLoopError,
 )
 
+from conftest import k4, k33, petersen, random_two_core
 from test_nbmat import bit_equal
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -398,6 +400,32 @@ def test_reduced_pair_gives_the_bauer_fike_radius(g, k):
                 * np.linalg.svd(E, compute_uv=False)[0])
     assert nb.bauer_fike_radius(basis.Z, base, section) == pytest.approx(
         expected, rel=1e-12)
+
+
+def _verify_outcome(g, suites):
+    """The findings of run_suites, or the type and message of its error."""
+    try:
+        return verify.run_suites(g, suites)[1]
+    except NbspectraError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from([k4, k33, petersen]).map(lambda f: f()),
+                 st.integers(0, 2 ** 32 - 1).map(
+                     lambda seed: random_two_core(seed, n_max=24))))
+def test_verify_sharing_changes_no_finding(g):
+    """A run that shares one index and one decomposition of T among its
+    suites finds exactly what the suites find run one by one, up to the
+    first suite that raises (theorem1 on a disconnected or cycle core)."""
+    expected = []
+    for suite in verify.ALL_SUITES:
+        got = _verify_outcome(g, [suite])
+        if isinstance(got, tuple):
+            expected = got
+            break
+        expected += got
+    assert _verify_outcome(g, None) == expected
 
 
 def _overlap_oracle(pred, truth, k):

@@ -413,6 +413,34 @@ def test_full_block_round_ends_once_the_stability_window_is_full():
     assert_ritz_contract(C, found)
 
 
+def test_small_T_takes_the_full_block_once_the_bulk_window_fills(monkeypatch):
+    # on a null sample the second Ritz value settles inside the bulk disk;
+    # a T of dimension at most SMALL_DIM then takes the full block at once,
+    # where one exact extraction reads every positive real, including those
+    # inside the disk, instead of first spending a whole round of products
+    g = nb.sample(nb.SbmParams(n=40, k=2, a=11.0, b=9.0, seed=0)).graph
+    idx = nb.oriented_edges(g)
+    assert 2 * idx.m <= spectra.SMALL_DIM
+    solve, seen = spectra.leading_real_eigenpairs, []
+
+    def spy(*args, **kwargs):
+        try:
+            seen.append(solve(*args, **kwargs))
+        except InsufficientRealRitzError as exc:
+            seen.append(exc.found)
+            raise
+        return seen[-1]
+
+    monkeypatch.setattr(spectra, "leading_real_eigenpairs", spy)
+    basis = nb.real_eigenbasis_T(idx, 2, mode="iterative", seed=0)
+    [res] = seen
+    assert res.block_size == 2 * idx.m
+    assert res.iterations < spectra.ROUND_SWEEPS
+    w = np.linalg.eigvals(nb.build_T(idx).toarray())
+    reals = np.sort(w.real[(np.abs(w.imag) < 1e-8) & (w.real > 1e-10)])[::-1]
+    assert basis.values == pytest.approx(reals[:2], abs=1e-10)
+
+
 def test_leading_matches_dense_on_sbm():
     p = nb.SbmParams(n=120, k=2, a=16.0, b=4.0, seed=5)
     g = nb.sample(p).graph
