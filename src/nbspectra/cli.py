@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func="cmd_gen")
 
     p = sub.add_parser("spectrum", help="eigenvalues of B, T, L, or BV")
     p.add_argument("--graph", required=True)
@@ -161,21 +161,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eigenpair count for iterative mode")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func="cmd_spectrum")
 
     p = sub.add_parser("verify", help="run identity suites on a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--suites", default=None,
                    help=f"comma list from {','.join(verify.ALL_SUITES)}")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("bound", help="eigenvalue closeness radii")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func="cmd_bound")
 
     p = sub.add_parser("cluster", help="cluster the nodes of a graph file")
     p.add_argument("--graph", required=True)
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write node<TAB>label assignment here")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cluster)
+    p.set_defaults(func="cmd_cluster")
 
     p = sub.add_parser("pipeline", help="end-to-end run on a file or a model")
     p.add_argument("--graph", default=None)
@@ -200,15 +200,23 @@ def build_parser() -> argparse.ArgumentParser:
                    default="edge_vote")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cluster, assign=None)
+    p.set_defaults(func="cmd_cluster", assign=None)
     return parser
 
 
+_PARSER = None   # built on the first call of main; parse_args leaves it as is
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # the parser names its command function, which is looked up here, so
+        # the cached parser holds no function; each command reads
+        # NBSPECTRA_SEED when it runs
+        return globals()[args.func](args)
     except NbspectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -94,10 +94,18 @@ class EdgeOperator(LinearOperator):
 
     ``B X`` is ``(Start^T X)[end] - V X``: sum the rows of ``X`` per
     startpoint, gather the sums at each edge's endpoint, and subtract the
-    half-swap, which removes the backtrack; ``T X`` divides that by D_row.
-    Storage is O(2m) instead of the sum_j d_j^2 - 2m entries of the CSR from
+    half-swap, which removes the backtrack; ``T X`` multiplies that by the
+    precomputed ``1 / D_row``, the entries of :func:`build_T`.  Storage is
+    O(2m) instead of the sum_j d_j^2 - 2m entries of the CSR from
     :func:`build_B`.  Its norm ||T||_2 is 1, which :func:`norm_bound`
     returns for it.
+
+    :meth:`product_rows` is the one product: it applies T to each row of a
+    block and writes the rows into a buffer the caller holds, keeping the
+    per-row node sums in a p x n array the operator reuses (so one operator
+    runs one product at a time), and the block iteration runs its sweeps
+    without allocating a block.  The LinearOperator products call it with a
+    fresh output.
     """
 
     def __init__(self, idx: OrientedEdgeIndex):
@@ -106,18 +114,30 @@ class EdgeOperator(LinearOperator):
         self.m = idx.m
         self.end = idx.end
         self.start_t = build_Start(idx).T.tocsr()
-        self.drow = build_D_row(idx)
+        self.inv_drow = 1.0 / build_D_row(idx)
+        self._sums = np.empty((0, idx.n))
+
+    def product_rows(self, R: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write T r into the rows of ``out`` for the rows r of the p x 2m
+        block ``R`` (which ``out`` must not overlap); returns ``out``."""
+        if len(self._sums) < len(R):
+            self._sums = np.empty((len(R), self._sums.shape[1]))
+        sums = self._sums[:len(R)]
+        for s, r in zip(sums, R):
+            s[:] = self.start_t @ r
+        # mode="raise" would gather into a temporary and then copy to out
+        np.take(sums, self.end, axis=1, out=out, mode="clip")
+        m = self.m
+        out[:, :m] -= R[:, m:]
+        out[:, m:] -= R[:, :m]
+        out *= self.inv_drow
+        return out
 
     def _matmat(self, X):
         # the product runs on the rows of X.T, one vector per row, so a row
         # block passed as Q.T is summed row by row and never copied
         R = np.atleast_2d(X.T)
-        out = np.take([self.start_t @ r for r in R], self.end, axis=-1)
-        m = self.m
-        out[..., :m] -= R[..., m:]
-        out[..., m:] -= R[..., :m]
-        out /= self.drow
-        return out.T
+        return self.product_rows(R, np.empty(R.shape)).T
 
     _matvec = _matmat
 

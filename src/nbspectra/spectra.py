@@ -145,7 +145,11 @@ def dense_eigendecomposition(M, want_vectors: bool = False, source: str = ""):
             if nrm > 0:
                 V[:, i] = colr / nrm
         norm_a = nbmat.norm_bound(A)
-        resid = np.linalg.norm(A @ V - V * w[None, :], axis=0)
+        # A is real: two real products, not a complex GEMM with A promoted
+        Vr, Vi = V.real, V.imag
+        resid = np.hypot(
+            np.linalg.norm(A @ Vr - (Vr * w.real - Vi * w.imag), axis=0),
+            np.linalg.norm(A @ Vi - (Vr * w.imag + Vi * w.real), axis=0))
         backward = float(resid.max() / max(norm_a, 1e-300))
         if backward > 1e-8:
             raise NoConvergenceError(
@@ -217,27 +221,41 @@ def _householder_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarr
     return np.ascontiguousarray(Q.T) / sq
 
 
-def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Rows Q spanning the rows of X with Q D Q^T = I, D = diag(d) (identity
-    if None).
+    if None), written into ``out`` (a fresh array if None), which must not
+    overlap X; returns ``out``.
 
     One scaled CholeskyQR pass: with G = X D X^T and s = diag(G)^(-1/2),
     Q = inv(L) diag(s) X where L L^T = diag(s) G diag(s), blind to the scale
     of each row and losing about cond(L)^2 u of orthogonality.  A Gram
     diagonal that is not positive and finite, a Cholesky failure or cond(L)
-    above CHOLQR_MAX_COND send the block to Householder QR instead.
+    above CHOLQR_MAX_COND send the block to Householder QR instead.  ``out``
+    holds X D while the Gram matrix is formed.
     """
-    gram = X @ (X if d is None else X * d).T
+    if out is None:
+        out = np.empty(X.shape)
+    gram = X @ (X if d is None else np.multiply(X, d, out=out)).T
     g = np.diagonal(gram)
     if np.all(np.isfinite(g) & (g > 0)):
         s = 1.0 / np.sqrt(g)
         try:
             L = np.linalg.cholesky(gram * s * s[:, None])
             if np.linalg.cond(L) <= CHOLQR_MAX_COND:
-                return (np.linalg.inv(L) * s) @ X
+                return np.matmul(np.linalg.inv(L) * s, X, out=out)
         except np.linalg.LinAlgError:
             pass
-    return _householder_orthonormalize(X, d)
+    out[...] = _householder_orthonormalize(X, d)
+    return out
+
+
+def _product(M, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rows of (M X^T)^T, written into ``out``; returns ``out``."""
+    if isinstance(M, nbmat.EdgeOperator):
+        return M.product_rows(X, out)
+    out[...] = (M @ X.T).T
+    return out
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -256,9 +274,15 @@ def _leading_stable(history: deque, ok: np.ndarray, j: int) -> bool:
     return stable and np.array_equal(ok[:j], np.arange(j))
 
 
-def _pairs(cand: LeadingEigenResult, cols) -> LeadingEigenResult:
-    """The candidate pairs at positions ``cols`` of one sweep's block."""
-    return replace(cand, values=cand.values[cols], vectors=cand.vectors[:, cols],
+def _pairs(cand: LeadingEigenResult, cols: np.ndarray,
+           out: np.ndarray | None = None) -> LeadingEigenResult:
+    """The candidate pairs at the positions ``cols`` (an index array) of one
+    sweep's block, their vectors copied into the rows of ``out`` (a fresh
+    array if None)."""
+    # mode="clip": with the default "raise", np.take buffers ``out``
+    rows = np.take(cand.vectors.T, cols, axis=0, mode="clip",
+                   out=None if out is None else out[:len(cols)])
+    return replace(cand, values=cand.values[cols], vectors=rows.T,
                    residuals=cand.residuals[cols])
 
 
@@ -310,6 +334,13 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     CholeskyQR ignores row scale).  Values with nonpositive real part do
     not count, because the caller keeps only positive reals.
 
+    The block lives in four p x dim arrays, allocated once per round and
+    reused by every sweep; the products write into them (the matrix-free T
+    through :meth:`nbmat.EdgeOperator.product_rows`).  The random start is
+    freed before the other three are allocated, and the pairs kept for a
+    stall live in one of the four.  Results, and the pairs an error
+    carries, are copies.
+
     Raises InsufficientRealRitzError (with partial result attached) when
     fewer than k real values stabilize, when the k-th stabilizes below the
     modulus floor, or on the early stop (with the k - 1 leading pairs), and
@@ -332,13 +363,20 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     # the block after a stall; it grows only once
     block_cap = nn if nn <= SMALL_DIM else min(2 * p, nn)
     # the block holds one vector per row, so every sweep runs along
-    # contiguous memory; the draws stay (nn, p) to keep the random stream.
+    # contiguous memory; the draws stay (nn, p) to keep the random stream,
+    # and the draw is freed before the round allocates its other blocks.
     # X holds the rows that the next sweep orthonormalizes.
-    X = rng.standard_normal((nn, p)).T
+    X = np.ascontiguousarray(rng.standard_normal((nn, p)).T)
 
     total_it = extractions = 0
     best = None     # retained pairs of the sweep that retained the most
     while True:
+        # the round's four p x nn blocks, reused by every sweep: X, which
+        # the product Y = M Q overwrites, so Y is the next sweep's X; a spare
+        # for the raw products, then Y D for H, then the Ritz block; Q, which
+        # holds X D for its Gram matrix, then Q, then the residual rows; and
+        # W, which keeps the vectors of best
+        spare, Q, W = (np.empty_like(X) for _ in range(3))
         # at the full block one extraction is the whole window (see below)
         history = deque(maxlen=STABLE_WINDOW if p < nn else 1)
         inside = 0    # products since the k-th positive Ritz entered the disk
@@ -348,33 +386,37 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             # orthonormalize only before the extraction
             steps = min(WINDOW_PRODUCTS, end - total_it) if inside else 1
             for _ in range(steps - 1):
-                X = (M @ X.T).T
-            Q = _metric_orthonormalize(X, d)
+                X, spare = _product(M, X, spare), X
+            _metric_orthonormalize(X, d, out=Q)
             total_it += steps
             extractions += 1
-            Y = (M @ Q.T).T
-            H = Q @ (Y if d is None else Y * d).T
+            Y = _product(M, Q, X)
+            H = Q @ (Y if d is None else np.multiply(Y, d, out=spare)).T
             theta, S = np.linalg.eig(H)
             ridx = np.nonzero(is_real(theta))[0]
             ridx = ridx[np.argsort(-theta.real[ridx])][: k + 2]
             ridx = ridx[S.real[:, ridx].any(axis=0)]
             S_rt = S.real[:, ridx].T
             vals = theta.real[ridx]
-            SQ = S_rt @ Q
+            SQ = np.matmul(S_rt, Q, out=spare[:len(vals)])
             nv = _row_norms(SQ)
-            res = _row_norms(S_rt @ Y - vals[:, None] * SQ) / nv
+            # Q is spent once SQ is formed
+            resid = np.matmul(S_rt, Y, out=Q[:len(vals)])
+            for row, val, sq in zip(resid, vals, SQ):
+                row -= val * sq
+            res = _row_norms(resid) / nv
             SQ /= nv[:, None]
             cand = LeadingEigenResult(values=vals, vectors=SQ.T, residuals=res,
                                       iterations=total_it, block_size=p,
                                       extractions=extractions)
             ok = np.nonzero(res <= RESIDUAL_RTOL * norm_m)[0]
             if len(ok) and (best is None or len(ok) >= len(best.values)):
-                best = _pairs(cand, ok)
+                best = _pairs(cand, ok, out=W)
             history.append(vals[:k])
             if _leading_stable(history, ok, k):
                 floor = np.min(np.abs(theta)) if p < nn else -np.inf
                 if vals[k - 1] >= floor - max(1e-8, 1e-6 * abs(floor)):
-                    return _pairs(cand, slice(k))
+                    return _pairs(cand, np.arange(k))
             if early:
                 kth = np.sort(np.where(theta.real > 0, np.abs(theta), 0.0))[-k]
                 inside = inside + steps if kth <= bulk_edge else 0
@@ -384,11 +426,12 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                     raise InsufficientRealRitzError(
                         f"only {k - 1} real Ritz value(s) outside the bulk disk "
                         f"of radius {bulk_radius:.6g} after {total_it} sweeps, "
-                        f"wanted {k}", found=_pairs(cand, slice(k - 1)))
+                        f"wanted {k}", found=_pairs(cand, np.arange(k - 1)))
             if p == nn:
                 break       # the projection is exact: more products change nothing
-            X = Y
-        # stalled: grow the block or give up
+        # stalled: grow the block from its last products (X holds Y), or give up
+        if best is not None:
+            best = _pairs(best, np.arange(len(best.values)))   # out of W
         if block_cap <= p or total_it >= MAX_PRODUCTS:
             if best is None:
                 raise NoConvergenceError(
@@ -406,9 +449,10 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             raise InsufficientRealRitzError(
                 f"only {j} real Ritz value(s) stabilized, wanted {k}: "
                 f"no spectral separation", found=best)
-        extra = rng.standard_normal((nn, block_cap - p))
-        X = np.vstack([_metric_orthonormalize(X, d), extra.T])
-        p = block_cap
+        grown = np.empty((block_cap, nn))
+        _metric_orthonormalize(X, d, out=grown[:p])
+        grown[p:] = rng.standard_normal((nn, block_cap - p)).T
+        X, p = grown, block_cap
 
 
 @dataclass

@@ -440,6 +440,33 @@ def test_seed_env_var(tmp_path, monkeypatch):
     assert read_bytes(d1 / "graph.tsv") != read_bytes(d3 / "graph.tsv")
 
 
+def test_main_twice_in_one_process_matches_fresh_processes(tmp_path,
+                                                          monkeypatch):
+    # the parser is built once per process, but each call reads its own
+    # arguments and NBSPECTRA_SEED
+    runs = [(["gen", "--n", "60", "--a", "16", "--b", "4", "--out-dir", "{}"],
+             "3", ["graph.tsv", "labels.tsv", "meta.json"]),
+            (["pipeline", "--n", "60", "--a", "11", "--b", "9",
+              "--out", "{}/report.json"], "5", ["report.json"])]
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(nb.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_parent] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for i, (args, seed, names) in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.setenv("NBSPECTRA_SEED", seed)
+        assert main([a.format(here) for a in args]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "nbspectra.cli",
+             *[a.format(fresh) for a in args]],
+            env=dict(env, NBSPECTRA_SEED=seed), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for name in names:
+            assert read_bytes(here / name) == read_bytes(fresh / name)
+
+
 def test_subcommand_options_are_pinned():
     # each option is a setting a user can pass; a new one is a design change
     sub = next(a for a in cli.build_parser()._actions

@@ -113,6 +113,23 @@ def test_matrix_free_operators_match_the_csr(g, seed):
 
 
 @PROPERTY_SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_one_product_kernel_for_the_matrix_free_T(graph_seed, p, seed):
+    # the solver's buffered product and the LinearOperator product are the
+    # same kernel; a smaller block reuses the operator's node-sum rows
+    idx = nb.oriented_edges(random_two_core(graph_seed))
+    X = np.random.default_rng(seed).standard_normal((p, 2 * idx.m))
+    op = nbmat.T_operator(idx)
+    out = op.product_rows(X, np.empty_like(X))
+    assert (np.max(np.abs(out - (nb.build_T(idx) @ X.T).T))
+            <= 1e-14 * np.linalg.norm(X))
+    assert np.array_equal((op @ X.T).T, out)
+    assert np.array_equal(op.product_rows(X[-1:], np.empty((1, 2 * idx.m))),
+                          out[-1:])
+
+
+@PROPERTY_SETTINGS
 @given(st.data())
 def test_kmeans_distinct_row_check_matches_np_unique(data):
     # few values, so rows repeat and whole blocks can be equal; -0.0 == 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,6 +120,20 @@ def test_zero_in_B_iff_degree_one():
         B = nb.build_B(nb.oriented_edges(core))
         spec, _ = nb.dense_eigendecomposition(B, source="B")
         assert np.min(np.abs(spec.values)) > 1e-6
+
+
+def test_dense_residual_check_covers_the_imaginary_parts(monkeypatch):
+    # a scaled rotation block has the pair 0.3 +- 2i; the check takes
+    # A Re(V) and A Im(V) as two real products, and a shift of Im(V) alone
+    # must fail it
+    A = np.array([[0.3, -2.0, 0.0], [2.0, 0.3, 0.0], [0.0, 0.0, 0.5]])
+    spec, V = nb.dense_eigendecomposition(A, want_vectors=True)
+    assert spec.values == pytest.approx([0.5, 0.3 + 2j, 0.3 - 2j], abs=1e-12)
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda M: (eig(M)[0], eig(M)[1] + 1e-6j))
+    with pytest.raises(NoConvergenceError, match="exceeds 1e-8 relative"):
+        nb.dense_eigendecomposition(A, want_vectors=True)
 
 
 def test_zero_multiplicity_of_L_counts_components():
@@ -331,6 +346,60 @@ def test_leading_work_counts_of_the_n2000_T_solves():
     T, drow, radius = _sbm_T(a=16.0, b=4.0)
     res = nb.leading_real_eigenpairs(T, 2, inner=drow, bulk_radius=radius)
     assert (res.iterations, res.extractions, res.block_size) == (33, 27, 6)
+
+
+def _found(M, k, **kwargs):
+    with pytest.raises(InsufficientRealRitzError) as info:
+        nb.leading_real_eigenpairs(M, k, **kwargs)
+    return info.value.found
+
+
+def test_leading_results_never_alias_the_work_buffers():
+    # a converged result, and the pairs found by the null early stop and by a
+    # stall (800 products, through a grown block), each followed by a solve
+    # on another operator: all stay as they were, with their own residuals
+    T, drow, radius = _sbm_T(a=16.0, b=4.0)
+    null_T, null_drow, null_radius = _sbm_T()
+    M = _bulk_operator(0.3)
+    solves = (
+        (T, lambda: nb.leading_real_eigenpairs(T, 2, inner=drow,
+                                               bulk_radius=radius)),
+        (null_T, lambda: _found(null_T, 2, inner=null_drow,
+                                bulk_radius=null_radius)),
+        (M, lambda: _found(M, 2)),
+        (None, lambda: nb.leading_real_eigenpairs(
+            nb.build_T(nb.oriented_edges(k4())), 2)),
+    )
+    kept = []
+    for op, solve in solves:
+        res = solve()
+        if op is not None:
+            kept.append((op, res, [a.copy() for a in
+                                   (res.values, res.vectors, res.residuals)]))
+    assert [len(res.values) for _, res, _ in kept] == [2, 1, 1]
+    for op, res, before in kept:
+        after = (res.values, res.vectors, res.residuals)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        # the vectors own their memory: no view into a larger block
+        assert (res.vectors.base is None
+                or res.vectors.base.nbytes == res.vectors.nbytes)
+        assert_ritz_contract(op, res)
+
+
+def test_null_T_solve_peaks_under_four_and_a_half_blocks():
+    # the solve keeps four p x 2m blocks; the start draw is freed before the
+    # other three are allocated, and the retained pairs live in one of them
+    T, drow, radius = _sbm_T()
+    block = 6 * T.shape[0] * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        found = _found(T, 2, inner=drow, bulk_radius=radius)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert found.block_size == 6
+    assert peak <= 4.5 * block
 
 
 def test_leading_counts_one_extraction_per_product_outside_the_window():
