@@ -166,37 +166,19 @@ def connected_components(g: SimpleGraph):
     return sorted(comps[:-1], key=lambda comp: comp[0])
 
 
-def is_bipartite(g: SimpleGraph):
-    """BFS two-coloring.
+def is_bipartite(g: SimpleGraph) -> bool:
+    """Whether the graph is two-colorable.
 
-    Returns (True, colors, None) with colors in {0, 1}, or
-    (False, None, walk) where walk is a closed walk of odd length.
+    A graph is bipartite exactly when its bipartite double cover
+    ``[[0, A], [A, 0]]`` has twice as many connected components as the
+    graph: an odd cycle lifts to one cycle of twice its length, which joins
+    the two copies of its component.
     """
-    indptr, indices = g.adjacency.indptr, g.adjacency.indices
-    color = np.full(g.n, -1, dtype=np.int64)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = [s]
-        for u in queue:                  # the queue grows while it is walked
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    queue.append(int(v))
-                elif color[v] == color[u]:
-                    # closed odd walk: root -> u -> v -> root along tree paths
-                    up_u = [int(u)]
-                    while parent[up_u[-1]] >= 0:
-                        up_u.append(int(parent[up_u[-1]]))
-                    up_v = [int(v)]
-                    while parent[up_v[-1]] >= 0:
-                        up_v.append(int(parent[up_v[-1]]))
-                    walk = up_u[::-1] + up_v
-                    return False, None, walk
-    return True, color, None
+    if g.n == 0:
+        return True
+    cover = sp.bmat([[None, g.adjacency], [g.adjacency, None]], format="csr")
+    count = csgraph.connected_components(g.adjacency, directed=False)[0]
+    return csgraph.connected_components(cover, directed=False)[0] == 2 * count
 
 
 def oriented_edges(g: SimpleGraph) -> OrientedEdgeIndex:

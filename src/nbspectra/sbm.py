@@ -1,6 +1,7 @@
 """Sparse stochastic block model sampling with planted labels.
 
-Edges are drawn as independent per-pair Bernoulli variables with rate a/n
+The n nodes fall into k equal blocks (sizes differ by at most one), and
+edges are drawn as independent per-pair Bernoulli variables with rate a/n
 inside blocks and b/n between blocks (assortative: b <= a).  The sample is
 reduced to the 2-core of its largest connected component, with planted labels
 carried through the relabeling.  Model-level predictions (average degree c,
@@ -22,13 +23,12 @@ SAMPLE_CHUNK = 1 << 16    # pair slots drawn per call of Generator.random
 
 @dataclass(frozen=True)
 class SbmParams:
-    """Model parameters: within-rate a/n, between-rate b/n, k blocks."""
+    """Model parameters: within-rate a/n, between-rate b/n, k equal blocks."""
 
     n: int
     k: int
     a: float
     b: float
-    proportions: tuple | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -41,16 +41,6 @@ class SbmParams:
                 f"need 0 <= b <= a (assortative), got a={self.a}, b={self.b}")
         if self.a >= self.n:
             raise BadParameterError(f"a={self.a} must be below n={self.n}")
-        if self.proportions is not None:
-            p = np.asarray(self.proportions, dtype=np.float64)
-            if len(p) != self.k or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-                raise BadParameterError(
-                    "proportions must be k nonnegative numbers summing to 1")
-
-    def proportion_array(self) -> np.ndarray:
-        if self.proportions is None:
-            return np.full(self.k, 1.0 / self.k)
-        return np.asarray(self.proportions, dtype=np.float64)
 
 
 @dataclass
@@ -65,11 +55,12 @@ class SbmSample:
 def expected_quantities(p: SbmParams) -> dict:
     """Model predictions: c, structural magnitudes mu, SNR, detectability.
 
-    For equal blocks c = (a + (k-1) b) / k, mu_1 = c and mu_i = (a - b) / k
-    for i >= 2; in general the mu's are the eigenvalues of the reduced k x k
-    rate matrix.  SNR = mu_2^2 / mu_1 with detection feasible above 1.
+    The mu's are the eigenvalues of the reduced k x k rate matrix, which for
+    the equal blocks gives c = (a + (k-1) b) / k, mu_1 = c and
+    mu_i = (a - b) / k for i >= 2.  SNR = mu_2^2 / mu_1 with detection
+    feasible above 1.
     """
-    pi = p.proportion_array()
+    pi = np.full(p.k, 1.0 / p.k)
     M = np.full((p.k, p.k), float(p.b))
     np.fill_diagonal(M, float(p.a))
     c = float(pi @ M @ pi)
@@ -84,17 +75,6 @@ def expected_quantities(p: SbmParams) -> dict:
         "snr": snr,
         "detectable": bool(snr > 1.0),
     }
-
-
-def _block_sizes(n: int, pi: np.ndarray) -> np.ndarray:
-    """Largest-remainder rounding of n * pi to integers summing to n."""
-    raw = n * pi
-    sizes = np.floor(raw).astype(np.int64)
-    short = n - int(sizes.sum())
-    if short > 0:
-        order = np.argsort(-(raw - sizes), kind="stable")
-        sizes[order[:short]] += 1
-    return sizes
 
 
 def _draw_edges(labels: np.ndarray, a_n: float, b_n: float,
@@ -135,8 +115,8 @@ def sample(p: SbmParams) -> SbmSample:
     max_j |d_j - c| of the surviving graph.
     """
     rng = np.random.default_rng(p.seed)
-    pi = p.proportion_array()
-    sizes = _block_sizes(p.n, pi)
+    sizes = np.full(p.k, p.n // p.k)    # equal blocks; n % k of them one larger
+    sizes[:p.n % p.k] += 1
     labels = np.repeat(np.arange(p.k), sizes)
     rng.shuffle(labels)
 

@@ -34,7 +34,6 @@ TAU_IM = 1e-8             # a value is real when |imag| <= TAU_IM * (1 + |value|
 CLUSTER_RTOL = 1e-7       # consecutive real eigenvalues this close are one cluster
 
 # fixed rules of the block iteration in leading_real_eigenpairs
-MAX_PRODUCTS = 2000       # products of M across all rounds
 ROUND_SWEEPS = 400        # products of M per round before the block may grow
 RESIDUAL_RTOL = 1e-6      # a Ritz pair is kept when its residual <= this * ||M||
 VALUE_RTOL = 1e-8         # leading Ritz values count as stable within this
@@ -311,7 +310,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     a stall after that is treated as missing spectral separation.  At full
     dimension one extraction decides: its values count as stable, and the
     round ends after it, because further products change nothing there.
-    MAX_PRODUCTS bounds the total products across rounds.  ``inner``
+    So a solve takes at most two rounds of ROUND_SWEEPS products.  ``inner``
     supplies a diagonal metric for the orthogonalization (one scaled
     CholeskyQR pass, see :func:`_metric_orthonormalize`).  Deterministic for
     a given seed.  ``iterations`` counts products, ``extractions`` the
@@ -380,7 +379,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
         # at the full block one extraction is the whole window (see below)
         history = deque(maxlen=STABLE_WINDOW if p < nn else 1)
         inside = 0    # products since the k-th positive Ritz entered the disk
-        end = min(total_it + ROUND_SWEEPS, MAX_PRODUCTS)
+        end = total_it + ROUND_SWEEPS
         while total_it < end:
             # while the window counts, run ahead on the raw rows and
             # orthonormalize only before the extraction
@@ -432,7 +431,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
         # stalled: grow the block from its last products (X holds Y), or give up
         if best is not None:
             best = _pairs(best, np.arange(len(best.values)))   # out of W
-        if block_cap <= p or total_it >= MAX_PRODUCTS:
+        if block_cap <= p:
             if best is None:
                 raise NoConvergenceError(
                     f"no real Ritz value stabilized after {total_it} sweeps")
@@ -627,10 +626,7 @@ def _basis_from_pairs(idx: OrientedEdgeIndex, T, drow: np.ndarray,
         gram = block.T @ (drow[:, None] * block)
         s, U = np.linalg.eigh(gram)
         good = s > 1e-20 * max(s.max(), 1.0)
-        if not np.all(good):
-            block = block @ U[:, good] / np.sqrt(s[good])
-        else:
-            block = block @ U / np.sqrt(s)
+        block = block @ U[:, good] / np.sqrt(s[good])
         form = block.T @ idx.swap_halves(block)
         form = 0.5 * (form + form.T)
         gs, Q = np.linalg.eigh(form)

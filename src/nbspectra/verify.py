@@ -207,7 +207,7 @@ def suite_theorem1(run: _Run):
 
 def suite_bipartite(run: _Run):
     spec, _ = run.eig
-    bip, _, _ = is_bipartite(run.g)
+    bip = is_bipartite(run.g)
     dist_minus1 = float(np.min(np.abs(spec.values + 1.0)))
     has_minus1 = dist_minus1 <= TOL
     agree = has_minus1 == bip

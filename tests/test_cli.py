@@ -85,10 +85,12 @@ def test_spectrum_iterative_too_many_reals_exit_4(tmp_path):
 
 def test_spectrum_iterative_L_solves_T_for_the_smallest_reals(tmp_path):
     # the largest reals of L = I - T lie in the bulk, where the iteration
-    # cannot separate them; its smallest reals are 1 - the leading reals of T
-    assert main(["gen", "--n", "300", "--a", "16", "--b", "4", "--seed", "5",
+    # cannot separate them; its smallest reals are 1 - the leading reals of T.
+    # 2m is above SMALL_DIM, so the T solve does not take the full block
+    assert main(["gen", "--n", "60", "--a", "16", "--b", "4", "--seed", "5",
                  "--out-dir", str(tmp_path)]) == 0
     graph = str(tmp_path / "graph.tsv")
+    assert 2 * fileio.read_graph(graph).m > spectra.SMALL_DIM
     dense, iterative = tmp_path / "dense.csv", tmp_path / "iterative.csv"
     assert main(["spectrum", "--graph", graph, "--matrix", "L",
                  "--out", str(dense)]) == 0
@@ -103,6 +105,28 @@ def test_spectrum_iterative_L_solves_T_for_the_smallest_reals(tmp_path):
     reals = sorted(float(re) for re, _, cls in rows(dense)
                    if cls != spectra.COMPLEX_BULK)
     assert sorted(got) == pytest.approx(reals[:2], abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectrum_iterative_B_matches_the_dense_leading_reals(seed, tmp_path):
+    # the iterative mode solves the Ihara-Bass companion, whose reals above 1
+    # are those of B
+    assert main(["gen", "--n", "60", "--a", "16", "--b", "4", "--seed",
+                 str(seed), "--out-dir", str(tmp_path)]) == 0
+    graph = str(tmp_path / "graph.tsv")
+    dense, iterative = tmp_path / "dense.csv", tmp_path / "iterative.csv"
+    assert main(["spectrum", "--graph", graph, "--matrix", "B",
+                 "--out", str(dense)]) == 0
+    assert main(["spectrum", "--graph", graph, "--matrix", "B",
+                 "--mode", "iterative", "--k", "2", "--out", str(iterative)]) == 0
+
+    def rows(path):
+        return [r.split(",") for r in read_bytes(path).decode().split()[1:]]
+
+    got = [float(re) for re, _, _ in rows(iterative)]
+    reals = sorted((float(re) for re, im, _ in rows(dense) if float(im) == 0),
+                   reverse=True)
+    assert got == pytest.approx(reals[:2], rel=1e-8)
 
 
 def test_verify_k4_all_suites(tmp_path):

@@ -9,6 +9,7 @@ from nbspectra.errors import (
     DegenerateInputError,
     InsufficientRealRitzError,
     LengthMismatchError,
+    NoConvergenceError,
 )
 
 from conftest import assert_ritz_contract, k4, k23, petersen, petersen_with_tails
@@ -274,6 +275,62 @@ def test_pipeline_null_regime_falls_back_at_n60():
     rep = nb.pipeline(p, 2, seed=0)
     assert rep["fallback"] is True
     assert rep["lambda"] == [1.0]
+
+
+@pytest.mark.parametrize("k, a, b", [(2, 16.0, 4.0), (3, 24.0, 3.0)])
+def test_pipeline_deflate_keeps_the_signal_above_threshold(k, a, b):
+    rep = nb.pipeline(nb.SbmParams(n=300, k=k, a=a, b=b, seed=0), k,
+                      mode="deflate", seed=0)
+    assert rep["mode"] == "deflate"
+    assert rep["fallback"] is False
+    assert rep["overlap"] >= 0.5
+
+
+@pytest.mark.parametrize("n_found", [1, 3])
+def test_pipeline_takes_what_a_partial_B_solve_found(n_found, monkeypatch):
+    found = []
+    solve = spectra.leading_reals_B
+
+    def partial(idx, k, seed=0):
+        values = np.r_[solve(idx, k, seed=seed), 1.0][:n_found]
+        found.append(spectra.LeadingEigenResult(
+            values=values, vectors=np.zeros((2 * idx.n, n_found)),
+            residuals=np.zeros(n_found), iterations=0, block_size=k + 1,
+            extractions=0))
+        raise InsufficientRealRitzError("partial", found=found[0])
+
+    monkeypatch.setattr(spectra, "leading_reals_B", partial)
+    rep = nb.pipeline(nb.SbmParams(n=300, k=2, a=16.0, b=4.0, seed=1), 2,
+                      seed=1)
+    assert rep["mu"] == found[0].values[:2].tolist()
+    assert len(rep["mu"]) == min(n_found, 2)
+    assert rep["R_paper"] is not None and rep["R_numeric"] is not None
+
+
+def test_pipeline_skips_the_bound_when_the_B_solve_finds_nothing(monkeypatch):
+    def stalled(idx, k, seed=0):
+        raise NoConvergenceError("no real Ritz value stabilized")
+
+    monkeypatch.setattr(spectra, "leading_reals_B", stalled)
+    rep = nb.pipeline(nb.SbmParams(n=300, k=2, a=16.0, b=4.0, seed=1), 2,
+                      seed=1)
+    assert rep["mu"] == []
+    assert rep["R_paper"] is None and rep["R_numeric"] is None
+    assert rep["fallback"] is False
+
+
+@pytest.mark.parametrize("mode", ["edge_vote", "deflate"])
+def test_pipeline_degenerate_kmeans_gives_one_block(mode, monkeypatch):
+    def degenerate(points, k, seed=0):
+        raise DegenerateInputError("fewer distinct points than clusters")
+
+    monkeypatch.setattr(cluster, "weighted_kmeans", degenerate)
+    p = nb.SbmParams(n=300, k=2, a=16.0, b=4.0, seed=1)
+    rep, labels = nb.pipeline(p, 2, mode=mode, seed=1, return_labels=True)
+    assert rep["fallback"] is True
+    assert rep["objective"] == 0.0
+    assert len(labels) == nb.sample(p).graph.n
+    assert not labels.any()
 
 
 def test_pipeline_null_regime_solves_the_eigenbasis_once(monkeypatch):

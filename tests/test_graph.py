@@ -114,20 +114,16 @@ def test_connected_components_counts():
 
 
 def test_is_bipartite():
-    ok, colors, walk = nb.is_bipartite(k23())
-    assert ok and walk is None
-    u, v = k23().edges[0]
-    assert colors[u] != colors[v]
-
-    ok, colors, walk = nb.is_bipartite(k4())
-    assert not ok and colors is None
-    assert walk[0] == walk[-1]         # closed walk
-    assert (len(walk) - 1) % 2 == 1    # odd edge count
-    nbrs = {tuple(sorted(e)) for e in k4().edges}
-    assert all(tuple(sorted((a, b))) in nbrs for a, b in zip(walk, walk[1:]))
-
-    single = nb.from_edge_list([(0, 1)], 2)
-    assert nb.is_bipartite(single)[0]
+    assert nb.is_bipartite(k23()) is True
+    assert nb.is_bipartite(k4()) is False
+    assert nb.is_bipartite(nb.from_edge_list([(0, 1)], 2))
+    assert nb.is_bipartite(nb.from_edge_list([], 0))
+    # isolated nodes next to an even cycle change nothing
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    assert nb.is_bipartite(nb.from_edge_list(square, 6))
+    # one odd-cycle component makes the whole graph non-bipartite
+    path, triangle = [(0, 1), (1, 2)], [(3, 4), (4, 5), (3, 5)]
+    assert not nb.is_bipartite(nb.from_edge_list(path + triangle, 7))
 
 
 def test_oriented_edges_k4_convention():

@@ -34,8 +34,6 @@ def test_params_validation():
         nb.SbmParams(n=100, k=2, a=4.0, b=16.0)      # disassortative
     with pytest.raises(BadParameterError):
         nb.SbmParams(n=100, k=2, a=200.0, b=1.0)     # a >= n
-    with pytest.raises(BadParameterError):
-        nb.SbmParams(n=100, k=2, a=8.0, b=1.0, proportions=(0.7, 0.7))
 
 
 def test_sample_determinism_and_distinctness():

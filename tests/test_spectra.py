@@ -446,7 +446,7 @@ def test_small_companion_jumps_to_the_full_block_on_a_stall(n, seed):
     # below the threshold B has one real above 1, so asking its companion
     # for two stalls the first round; a companion of at most SMALL_DIM then
     # takes the full block at once, where Rayleigh-Ritz reads the exact
-    # spectrum (a doubling ladder spent all MAX_PRODUCTS here)
+    # spectrum (a doubling ladder spent 2000 products here)
     g = nb.two_core(nb.sample(nb.SbmParams(n=n, k=2, a=11.0, b=9.0,
                                            seed=seed)).graph)[0]
     C = nbmat.ihara_bass_companion(nb.oriented_edges(g))
@@ -610,6 +610,25 @@ def test_real_eigenbasis_shortfall_carries_the_smaller_basis():
     assert np.max(np.abs(basis.Z.T @ (drow[:, None] * basis.Z)
                          - np.eye(4))) <= 1e-8
     assert np.max(np.abs(basis.Z.T @ basis.W - np.eye(4))) <= 1e-8
+
+
+def test_basis_keeps_one_column_for_a_repeated_vector_in_a_cluster():
+    # the 0.5 eigenspace of T on K4 has dimension three; a cluster that
+    # carries one of its vectors twice has Gram rank one, so the basis keeps
+    # one column for it, and two distinct vectors keep two
+    idx = nb.oriented_edges(k4())
+    T, drow = nb.build_T(idx), nb.build_D_row(idx)
+    Z = nb.real_eigenbasis_T(idx, 4).Z
+    vals = np.array([1.0, 0.5, 0.5])
+    twice = spectra._basis_from_pairs(idx, T, drow, vals, Z[:, [0, 1, 1]], 3)
+    assert twice.k == 2
+    assert np.allclose(twice.values, [1.0, 0.5])
+    assert np.allclose(np.abs(twice.Z[:, 1]), np.abs(Z[:, 1]), atol=1e-12)
+    assert np.max(twice.diagnostics["eigen_residual"]) <= 1e-12
+    assert np.max(np.abs(twice.Z.T @ (drow[:, None] * twice.Z)
+                         - np.eye(2))) <= 1e-12
+    distinct = spectra._basis_from_pairs(idx, T, drow, vals, Z[:, :3], 3)
+    assert distinct.k == 3
 
 
 def test_vanishing_reversal_pairing_raises_at_every_dimension():
