@@ -282,6 +282,20 @@ def node_labels_from_edge_labels(edge_labels, idx: OrientedEdgeIndex,
     return np.argmax(counts, axis=1)
 
 
+def _check_scorable(k: int, **labels) -> None:
+    """The checks of :func:`overlap` on k and on each named label array:
+    k >= 2, and the labels nonempty and in [0, k)."""
+    if k < 2:
+        raise BadParameterError(f"k must be at least 2, got {k}")
+    for name, lab in labels.items():
+        if not lab.size:
+            raise BadParameterError("cannot score an empty labelling")
+        if not 0 <= lab.min() <= lab.max() < k:
+            raise BadParameterError(
+                f"{name} labels must lie in [0, {k}), got {lab.min()} to "
+                f"{lab.max()}")
+
+
 def overlap(pred, truth, k: int) -> float:
     """Permutation-maximized accuracy rescaled so chance = 0 and perfect = 1.
 
@@ -298,15 +312,7 @@ def overlap(pred, truth, k: int) -> float:
     if pred.shape != truth.shape:
         raise LengthMismatchError(
             f"{pred.shape[0]} predictions vs {truth.shape[0]} truths")
-    if k < 2:
-        raise BadParameterError(f"k must be at least 2, got {k}")
-    if not pred.size:
-        raise BadParameterError("cannot score an empty labelling")
-    for name, lab in (("predicted", pred), ("true", truth)):
-        if not 0 <= lab.min() <= lab.max() < k:
-            raise BadParameterError(
-                f"{name} labels must lie in [0, {k}), got {lab.min()} to "
-                f"{lab.max()}")
+    _check_scorable(k, predicted=pred, true=truth)
     conf = np.zeros((k, k), dtype=np.int64)
     np.add.at(conf, (pred, truth), 1)
     rows, cols = min_weight_full_bipartite_matching(sp.csr_array(conf + 1),
@@ -322,7 +328,9 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     ``source`` is a SimpleGraph or SbmParams (sampled with its own seed; the
     planted labels become the truth).  A SimpleGraph is reduced to its 2-core
     first; ``truth`` then labels the nodes of the input graph, one per node
-    (CountMismatchError otherwise), and is restricted to the core.
+    (CountMismatchError otherwise), and is restricted to the core.  Truth
+    that :func:`overlap` could not score (k < 2, or a label outside
+    [0, k)) fails before the solve.
     Eigenpairs of T and the leading reals of B are solved iteratively at
     every size, B's on its Ihara-Bass companion.  mode 'edge_vote' clusters
     the oriented-edge embedding (:func:`edge_embedding`) and majority-votes
@@ -364,6 +372,9 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
             f"source must be SimpleGraph or SbmParams, got {type(source)}")
     if g.n == 0:
         raise BadParameterError("graph reduced to nothing; cannot cluster")
+    if truth is not None:
+        # fail before the solve on truth that overlap could not score
+        _check_scorable(k, true=np.asarray(truth, dtype=np.int64))
     idx = oriented_edges(g)
 
     fallback = False
@@ -405,9 +416,10 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
 
     try:
         mus = spectra.leading_reals_B(idx, basis.k, seed=seed)
-    except (InsufficientRealRitzError, NoConvergenceError) as exc:
-        found = getattr(exc, "found", None)
-        mus = found.values[: basis.k] if found is not None else []
+    except InsufficientRealRitzError as exc:
+        mus = exc.found.values[: basis.k]
+    except NoConvergenceError:
+        mus = []
     bound = None
     if len(mus) and mus[0] > 0:
         bound = perturb.bound_report(idx, basis, mus, seed=seed)

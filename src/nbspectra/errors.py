@@ -59,8 +59,9 @@ class InsufficientRealRitzError(NbspectraError):
     """Fewer real Ritz values stabilized than were requested, or the last
     one stabilized below the modulus floor of the block.
 
-    The partial result (values found so far and their vectors) is attached
-    as the ``found`` attribute when available.
+    The block iteration attaches its partial result as ``found``: the j
+    leading pairs that held in its final sweep, j as the message names it
+    (all k when the k-th stabilized below the floor).
     """
 
     exit_code = 4

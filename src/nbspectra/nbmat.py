@@ -230,10 +230,3 @@ def spectral_norm(M, seed: int = 0) -> float:
         raise NoConvergenceError(
             f"Lanczos on M^T M did not converge: {exc}") from exc
     return float(np.sqrt(max(top[0], 0.0)))
-
-
-def entry_count(M: sp.spmatrix) -> int:
-    """Number of stored nonzero entries of a sparse operator."""
-    M = M.tocsr()
-    M.eliminate_zeros()
-    return int(M.nnz)

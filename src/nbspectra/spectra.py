@@ -273,16 +273,12 @@ def _leading_stable(history: deque, ok: np.ndarray, j: int) -> bool:
     return stable and np.array_equal(ok[:j], np.arange(j))
 
 
-def _pairs(cand: LeadingEigenResult, cols: np.ndarray,
-           out: np.ndarray | None = None) -> LeadingEigenResult:
-    """The candidate pairs at the positions ``cols`` (an index array) of one
-    sweep's block, their vectors copied into the rows of ``out`` (a fresh
-    array if None)."""
-    # mode="clip": with the default "raise", np.take buffers ``out``
-    rows = np.take(cand.vectors.T, cols, axis=0, mode="clip",
-                   out=None if out is None else out[:len(cols)])
-    return replace(cand, values=cand.values[cols], vectors=rows.T,
-                   residuals=cand.residuals[cols])
+def _pairs(cand: LeadingEigenResult, j: int) -> LeadingEigenResult:
+    """The j leading candidate pairs of one sweep, their vectors copied out
+    of the sweep's work block."""
+    rows = cand.vectors.T[:j].copy()
+    return replace(cand, values=cand.values[:j], vectors=rows.T,
+                   residuals=cand.residuals[:j])
 
 
 def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
@@ -333,17 +329,18 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     CholeskyQR ignores row scale).  Values with nonpositive real part do
     not count, because the caller keeps only positive reals.
 
-    The block lives in four p x dim arrays, allocated once per round and
+    The block lives in three p x dim arrays, allocated once per round and
     reused by every sweep; the products write into them (the matrix-free T
-    through :meth:`nbmat.EdgeOperator.product_rows`).  The random start is
-    freed before the other three are allocated, and the pairs kept for a
-    stall live in one of the four.  Results, and the pairs an error
-    carries, are copies.
+    through :meth:`nbmat.EdgeOperator.product_rows`).  The random draw is
+    freed before the other two are allocated.  Results, and the pairs an
+    error carries, are copies.
 
-    Raises InsufficientRealRitzError (with partial result attached) when
-    fewer than k real values stabilize, when the k-th stabilizes below the
-    modulus floor, or on the early stop (with the k - 1 leading pairs), and
-    NoConvergenceError when none do.
+    A solve that ends short follows one rule: with j < k leading values
+    stable in the final sweep (j = k - 1 on the early stop), it raises
+    InsufficientRealRitzError carrying the j leading pairs of that sweep as
+    ``found``, the j its message names; when the k-th stabilizes below the
+    modulus floor, it carries all k.  When j = 0 it raises
+    NoConvergenceError.
     """
     nn = M.shape[0]
     if M.shape[0] != M.shape[1]:
@@ -368,14 +365,12 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     X = np.ascontiguousarray(rng.standard_normal((nn, p)).T)
 
     total_it = extractions = 0
-    best = None     # retained pairs of the sweep that retained the most
     while True:
-        # the round's four p x nn blocks, reused by every sweep: X, which
+        # the round's three p x nn blocks, reused by every sweep: X, which
         # the product Y = M Q overwrites, so Y is the next sweep's X; a spare
-        # for the raw products, then Y D for H, then the Ritz block; Q, which
-        # holds X D for its Gram matrix, then Q, then the residual rows; and
-        # W, which keeps the vectors of best
-        spare, Q, W = (np.empty_like(X) for _ in range(3))
+        # for the raw products, then Y D for H, then the Ritz block; and Q,
+        # which holds X D for its Gram matrix, then Q, then the residual rows
+        spare, Q = np.empty_like(X), np.empty_like(X)
         # at the full block one extraction is the whole window (see below)
         history = deque(maxlen=STABLE_WINDOW if p < nn else 1)
         inside = 0    # products since the k-th positive Ritz entered the disk
@@ -409,13 +404,11 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                                       iterations=total_it, block_size=p,
                                       extractions=extractions)
             ok = np.nonzero(res <= RESIDUAL_RTOL * norm_m)[0]
-            if len(ok) and (best is None or len(ok) >= len(best.values)):
-                best = _pairs(cand, ok, out=W)
             history.append(vals[:k])
             if _leading_stable(history, ok, k):
                 floor = np.min(np.abs(theta)) if p < nn else -np.inf
                 if vals[k - 1] >= floor - max(1e-8, 1e-6 * abs(floor)):
-                    return _pairs(cand, np.arange(k))
+                    return _pairs(cand, k)
             if early:
                 kth = np.sort(np.where(theta.real > 0, np.abs(theta), 0.0))[-k]
                 inside = inside + steps if kth <= bulk_edge else 0
@@ -425,29 +418,26 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                     raise InsufficientRealRitzError(
                         f"only {k - 1} real Ritz value(s) outside the bulk disk "
                         f"of radius {bulk_radius:.6g} after {total_it} sweeps, "
-                        f"wanted {k}", found=_pairs(cand, np.arange(k - 1)))
+                        f"wanted {k}", found=_pairs(cand, k - 1))
             if p == nn:
                 break       # the projection is exact: more products change nothing
-        # stalled: grow the block from its last products (X holds Y), or give up
-        if best is not None:
-            best = _pairs(best, np.arange(len(best.values)))   # out of W
+        # stalled: grow the block from its last products (X holds Y), or
+        # give up with the leading pairs that held in the last sweep
         if block_cap <= p:
-            if best is None:
-                raise NoConvergenceError(
-                    f"no real Ritz value stabilized after {total_it} sweeps")
-            best.iterations, best.block_size = total_it, p
-            best.extractions = extractions
             j = next((j for j in range(k, 0, -1)
                       if _leading_stable(history, ok, j)), 0)
+            if j == 0:
+                raise NoConvergenceError(
+                    f"no real Ritz value stabilized after {total_it} sweeps")
             if j == k:      # stable, so the floor test failed
                 raise InsufficientRealRitzError(
                     f"real Ritz value {k} ({vals[k - 1]:.6g}) stabilized below "
                     f"the modulus floor {floor:.6g} of the block after "
                     f"{total_it} sweeps: a larger real eigenvalue may hide "
-                    f"beneath it", found=best)
+                    f"beneath it", found=_pairs(cand, k))
             raise InsufficientRealRitzError(
                 f"only {j} real Ritz value(s) stabilized, wanted {k}: "
-                f"no spectral separation", found=best)
+                f"no spectral separation", found=_pairs(cand, j))
         grown = np.empty((block_cap, nn))
         _metric_orthonormalize(X, d, out=grown[:p])
         grown[p:] = rng.standard_normal((nn, block_cap - p)).T
@@ -521,18 +511,6 @@ def eigenbasis_from_decomposition(idx: OrientedEdgeIndex, k: int, T,
     return _basis_from_pairs(idx, T, nbmat.build_D_row(idx), vals, vecs, k)
 
 
-def _positive_real_pairs_iterative(T, k: int, drow: np.ndarray, seed: int,
-                                   bulk_radius: float):
-    """Leading positive real eigenpairs of T that stabilized, at most k."""
-    try:
-        res = leading_real_eigenpairs(T, k, inner=drow, seed=seed,
-                                      bulk_radius=bulk_radius)
-    except InsufficientRealRitzError as exc:
-        res = exc.found
-    mask = res.values > 1e-10
-    return res.values[mask][:k], res.vectors[:, mask][:, :k]
-
-
 def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
                       seed: int = 0) -> RealEigenBasis:
     """Build the k-dimensional real eigenbasis of the transition matrix.
@@ -571,8 +549,15 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
         T = nbmat.T_operator(idx)
         drow = nbmat.build_D_row(idx)
         radius = 1.0 / np.sqrt(2.0 * idx.m / idx.n - 1.0)
-        vals, vecs = _positive_real_pairs_iterative(T, k, drow, seed, radius)
-        basis = _basis_from_pairs(idx, T, drow, vals, vecs, k) if len(vals) else None
+        try:
+            res = leading_real_eigenpairs(T, k, inner=drow, seed=seed,
+                                          bulk_radius=radius)
+        except InsufficientRealRitzError as exc:
+            res = exc.found     # the leading pairs that held
+        pos = res.values > 1e-10
+        basis = (_basis_from_pairs(idx, T, drow, res.values[pos],
+                                   res.vectors[:, pos], k)
+                 if pos.any() else None)
     else:
         raise BadParameterError(f"unknown mode {mode!r}")
     if basis is None or basis.k < k:

@@ -378,6 +378,28 @@ def test_cluster_truth_label_outside_k_exit_2(bad, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("k, truth, message", [
+    (1, None, "k must be at least 2, got 1"),
+    (2, [0, 0, 1, 2], "true labels must lie in [0, 2), got 0 to 2"),
+])
+def test_pipeline_rejects_unscorable_truth_before_the_solve(
+        k, truth, message, tmp_path, capsys, monkeypatch):
+    # the planted labels of a model, or a truth file: either fails with
+    # overlap's message before the eigenbasis is solved
+    def unreached(*args, **kwargs):
+        raise AssertionError("the eigenbasis was solved")
+
+    monkeypatch.setattr(spectra, "real_eigenbasis_T", unreached)
+    if truth is None:
+        source = ["--n", "300"]
+    else:
+        path = str(tmp_path / "truth.tsv")
+        fileio.write_text_atomic(path, fileio.labels_to_text(truth))
+        source = ["--graph", write_k4(tmp_path), "--truth", path]
+    assert main(["pipeline", *source, "--k", str(k)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bound_and_cluster_agree(tmp_path):
     # both commands report the same eigenbasis, B reals and closed-form radius
     for seed in ("3", "4"):

@@ -213,6 +213,26 @@ def test_start_sums_equal_lambda_end_sums(g):
         assert np.max(np.abs(ss - lam.real * es)) <= 1e-8 * np.linalg.norm(z)
 
 
+@PROPERTY_SETTINGS
+@given(two_cores())
+def test_pairing_deviation_is_lambda_times_the_end_sum_norm(g):
+    # z'D_row z = 1 and B = End Start' - V give z'Vz = E'S - lambda, and
+    # S = lambda E (above): the pairing deviation is lambda * sum_v E(v)^2
+    idx = nb.oriented_edges(g)
+    assume(2 * idx.m <= 200)
+    spec, V = nb.dense_eigendecomposition(nb.build_T(idx), want_vectors=True,
+                                          source="T")
+    drow = nb.build_D_row(idx)
+    for i, lam in enumerate(spec.values):
+        if abs(lam.imag) > 1e-9 * (1.0 + abs(lam)):
+            continue
+        lam = lam.real
+        z = np.real(V[:, i])
+        z /= np.sqrt(z @ (drow * z))
+        _, es = nb.node_sums(z, idx)
+        assert abs(z @ idx.swap_halves(z) + lam - lam * (es @ es)) <= 1e-10
+
+
 @st.composite
 def raw_graphs(draw, n_max=20):
     """A random forest plus a few chords, edges given in random order.

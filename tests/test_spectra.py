@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -386,9 +387,9 @@ def test_leading_results_never_alias_the_work_buffers():
         assert_ritz_contract(op, res)
 
 
-def test_null_T_solve_peaks_under_four_and_a_half_blocks():
-    # the solve keeps four p x 2m blocks; the start draw is freed before the
-    # other three are allocated, and the retained pairs live in one of them
+def test_null_T_solve_peaks_under_three_and_a_half_blocks():
+    # the solve keeps three p x 2m blocks, and the start draw is freed before
+    # the other two are allocated
     T, drow, radius = _sbm_T()
     block = 6 * T.shape[0] * np.dtype(np.float64).itemsize
     tracemalloc.start()
@@ -399,7 +400,7 @@ def test_null_T_solve_peaks_under_four_and_a_half_blocks():
     finally:
         tracemalloc.stop()
     assert found.block_size == 6
-    assert peak <= 4.5 * block
+    assert peak <= 3.5 * block
 
 
 def test_leading_counts_one_extraction_per_product_outside_the_window():
@@ -461,25 +462,66 @@ def test_small_companion_jumps_to_the_full_block_on_a_stall(n, seed):
     assert_ritz_contract(C, res)
 
 
+def _small_companion_short_by_one():
+    """The Ihara-Bass companion of a null n=60 sample, asked for one real
+    more than it has, with its reals in descending order."""
+    g = nb.two_core(nb.sample(nb.SbmParams(n=60, k=2, a=11.0, b=9.0,
+                                           seed=0)).graph)[0]
+    C = nbmat.ihara_bass_companion(nb.oriented_edges(g))
+    mus = np.linalg.eigvals(C.toarray())
+    reals = np.sort(mus.real[np.abs(mus.imag) < 1e-8])[::-1]
+    return C, len(reals) + 1, {"seed": 0}, reals
+
+
 def test_full_block_round_ends_once_the_stability_window_is_full():
     # asked for one real more than the companion has, the first round stalls
     # and the full block reads every real exactly; further products at the
     # full block change nothing, so its stability window is one extraction
     # long and the round ends after it
-    g = nb.two_core(nb.sample(nb.SbmParams(n=60, k=2, a=11.0, b=9.0,
-                                           seed=0)).graph)[0]
-    C = nbmat.ihara_bass_companion(nb.oriented_edges(g))
+    C, k, kwargs, reals = _small_companion_short_by_one()
     assert C.shape[0] <= spectra.SMALL_DIM
-    mus = np.linalg.eigvals(C.toarray())
-    reals = np.sort(mus.real[np.abs(mus.imag) < 1e-8])[::-1]
     with pytest.raises(InsufficientRealRitzError,
                        match=f"^only {len(reals)} real Ritz value") as info:
-        nb.leading_real_eigenpairs(C, len(reals) + 1, seed=0)
+        nb.leading_real_eigenpairs(C, k, **kwargs)
     found = info.value.found
     assert found.block_size == C.shape[0]
     assert found.iterations <= spectra.ROUND_SWEEPS + 1
     assert found.values == pytest.approx(reals, abs=1e-8)
     assert_ritz_contract(C, found)
+
+
+def _null_T_short_by_one():
+    T, drow, radius = _sbm_T()
+    # T is stochastic: its largest real eigenvalue is 1
+    return T, 2, {"inner": drow, "bulk_radius": radius}, [1.0]
+
+
+# each short exit: () -> (operator, k, solver arguments, its leading reals)
+SHORT_EXITS = {
+    "bulk disk stop": lambda: (_bulk_operator(0.3), 2, {"bulk_radius": 0.3},
+                               [1.0]),
+    "stall": lambda: (_bulk_operator(0.3), 2, {}, [1.0]),
+    "below the floor": lambda: (_bulk_operator(0.3, extra=(-1.2 * 0.3,)), 2,
+                                {}, [1.0, -0.36]),
+    "full-block stall": _small_companion_short_by_one,
+    "null T bulk disk stop": _null_T_short_by_one,
+}
+
+
+@pytest.mark.parametrize("case", list(SHORT_EXITS))
+def test_a_short_exit_carries_the_leading_pairs_its_message_counts(case):
+    # every short exit carries the j leading pairs of its final sweep, j as
+    # the message names it ("only j real Ritz value(s)", or "real Ritz value
+    # j" for the k-th stabilizing below the floor)
+    M, k, kwargs, reals = SHORT_EXITS[case]()
+    with pytest.raises(InsufficientRealRitzError) as info:
+        nb.leading_real_eigenpairs(M, k, **kwargs)
+    j = int(re.match(r"(?:only|real Ritz value) (\d+) ",
+                     str(info.value)).group(1))
+    found = info.value.found
+    assert len(found.values) == j
+    assert found.values == pytest.approx(reals[:j], abs=1e-8)
+    assert_ritz_contract(M, found)
 
 
 def test_small_T_takes_the_full_block_once_the_bulk_window_fills(monkeypatch):
