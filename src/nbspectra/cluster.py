@@ -326,9 +326,11 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
     """Full run: 2-core, eigenbasis, embedding, k-means, node labels, report.
 
     ``source`` is a SimpleGraph or SbmParams (sampled with its own seed; the
-    planted labels become the truth).  A SimpleGraph is reduced to its 2-core
-    first; ``truth`` then labels the nodes of the input graph, one per node
-    (CountMismatchError otherwise), and is restricted to the core.  Truth
+    planted labels become the truth unless ``truth`` labels the sample's
+    nodes, one per node, CountMismatchError otherwise).  A SimpleGraph is
+    reduced to its 2-core first; ``truth`` then labels the nodes of the
+    input graph, one per node (CountMismatchError otherwise), and is
+    restricted to the core.  Truth
     that :func:`overlap` could not score (k < 2, or a label outside
     [0, k)) fails before the solve.
     Eigenpairs of T and the leading reals of B are solved iteratively at
@@ -359,6 +361,9 @@ def pipeline(source, k: int, mode: str = "edge_vote", seed: int = 0,
         g = smp.graph
         if truth is None:
             truth = smp.labels
+        elif len(truth) != g.n:
+            raise CountMismatchError(
+                f"truth has {len(truth)} labels, sample has {g.n} nodes")
     elif isinstance(source, SimpleGraph):
         if truth is not None and len(truth) != source.n:
             raise CountMismatchError(

@@ -41,6 +41,7 @@ STABLE_WINDOW = 5         # ... over this many consecutive extractions
 WINDOW_PRODUCTS = 4       # products of M per extraction while the bulk window counts
 SMALL_DIM = 512           # up to this dimension a stall or a full bulk window takes the full block
 BULK_MARGIN = 0.05        # a value is structural beyond (1 + this) * bulk radius
+AHEAD = 0.75              # share of the predicted products run between extractions
 CHOLQR_MAX_COND = 1e3     # Householder QR above this cond(L); one CholeskyQR pass loses cond^2 u
 
 PERRON = "perron"
@@ -156,12 +157,23 @@ def dense_eigendecomposition(M, want_vectors: bool = False, source: str = ""):
     return Spectrum(values=w, source=source), V
 
 
+def bulk_disk_radius(source: str, c: float) -> float:
+    """Radius of the disk that holds all but the structural eigenvalues of
+    an operator of a graph with average degree c: sqrt(c) for B and BV,
+    1/sqrt(c - 1) for T and, through its image 1 - value, for L."""
+    if source in ("B", "BV"):
+        return math.sqrt(c)
+    if source in ("T", "L"):
+        return 1.0 / math.sqrt(c - 1.0)
+    raise BadParameterError(f"unknown source tag {source!r}")
+
+
 def classify_spectrum(spectrum: Spectrum, c: float) -> Spectrum:
     """Label each eigenvalue perron / structural_real / real_bulk / complex_bulk.
 
-    ``c`` is the average degree of the underlying graph.  The bulk radius is
-    sqrt(c) for B and BV sources and 1/sqrt(c-1) for T; L is classified
-    through its image 1 - value under the T rule.  An eigenvalue is treated
+    ``c`` is the average degree of the underlying graph, and the bulk
+    radius that of :func:`bulk_disk_radius`; L is classified through its
+    image 1 - value under the T rule.  An eigenvalue is treated
     as real by :func:`is_real`; a real one is structural when it clears the
     bulk radius by the margin BULK_MARGIN, the same margin the block
     iteration's bulk-disk stop uses.  The largest positive real entry is the
@@ -171,17 +183,8 @@ def classify_spectrum(spectrum: Spectrum, c: float) -> Spectrum:
         raise BadParameterError(f"average degree must exceed 1, got {c}")
     v = spectrum.values
     source = spectrum.source or "B"
-    if source in ("B", "BV"):
-        effective = v
-        threshold = (1.0 + BULK_MARGIN) * np.sqrt(c)
-    elif source == "T":
-        effective = v
-        threshold = (1.0 + BULK_MARGIN) / np.sqrt(c - 1.0)
-    elif source == "L":
-        effective = 1.0 - v
-        threshold = (1.0 + BULK_MARGIN) / np.sqrt(c - 1.0)
-    else:
-        raise BadParameterError(f"unknown source tag {source!r}")
+    threshold = (1.0 + BULK_MARGIN) * bulk_disk_radius(source, c)
+    effective = 1.0 - v if source == "L" else v
 
     real_mask = is_real(v)
     classes = []
@@ -288,9 +291,10 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
 
     Runs power steps on a block of k + 4 vectors (at most the dimension) with
     a Rayleigh-Ritz extraction after each product of ``M`` with the block
-    (a sweep), except while the bulk window below counts: the k + 2 largest
-    real Ritz values and their vectors v = Q s / ||Q s|| are extracted as
-    one block, with the residual ||M v - theta v|| taken per vector.  The
+    (a sweep), except where a bulk radius lets it batch products (below):
+    the k + 2 largest real Ritz values and their vectors v = Q s / ||Q s||
+    are extracted as one block, with the residual ||M v - theta v|| taken
+    per vector.  The
     rules below are module constants.  A Ritz value is retained when its
     imaginary part is at most TAU_IM * (1 + |value|) and its residual at
     most RESIDUAL_RTOL times the scale of :func:`nbmat.norm_bound` (``M`` is
@@ -312,8 +316,17 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     a given seed.  ``iterations`` counts products, ``extractions`` the
     Rayleigh-Ritz steps.
 
-    ``bulk_radius`` is the radius of the disk that holds all but the
-    structural eigenvalues.  Given it and k >= 2, the solve ends once the
+    ``bulk_radius`` is the radius r of the disk that holds all but the
+    structural eigenvalues.  Given it, the solve reads after each
+    extraction the k-th largest modulus theta among the Ritz values with
+    positive real part.  While theta lies beyond (1 + BULK_MARGIN) * r and
+    the block is short of the dimension, the error of the k-th pair shrinks
+    by about r / theta per product, so VALUE_RTOL takes about
+    ln(VALUE_RTOL) / ln(r / theta) products from the start; the solve
+    extracts only every WINDOW_PRODUCTS products while that many more still
+    leave it short of AHEAD times this prediction, and after every product
+    from there on, where the stability window needs them.  The prediction
+    is reset each round.  Given k >= 2 as well, the solve ends once the
     k-th largest modulus among the Ritz values with positive real part has
     stayed at or below (1 + BULK_MARGIN) * bulk_radius over
     ceil(ln sqrt(dim) / ln(1 + BULK_MARGIN)) products between extractions
@@ -324,10 +337,11 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     to SMALL_DIM it takes the full block as on a stall, whose exact
     projection also finds real values inside the disk.  Because the
     argument holds per product, the solve extracts only every
-    WINDOW_PRODUCTS products while the window counts, applying M to the raw
-    block in between (multiple-step subspace iteration; the scaled
-    CholeskyQR ignores row scale).  Values with nonpositive real part do
-    not count, because the caller keeps only positive reals.
+    WINDOW_PRODUCTS products while the window counts.  Between the
+    extractions of a batch M is applied to the raw block (multiple-step
+    subspace iteration; the scaled CholeskyQR ignores row scale).  Values
+    with nonpositive real part do not count, because the caller keeps only
+    positive reals.
 
     The block lives in three p x dim arrays, allocated once per round and
     reused by every sweep; the products write into them (the matrix-free T
@@ -349,8 +363,7 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
         raise BadParameterError(f"k={k} outside [1, {nn}]")
     d = None if inner is None else np.asarray(inner, dtype=np.float64)
     norm_m = max(nbmat.norm_bound(M), 1e-300)
-    early = bulk_radius is not None and k >= 2
-    if early:
+    if bulk_radius is not None:
         bulk_edge = (1.0 + BULK_MARGIN) * bulk_radius
         bulk_window = math.ceil(math.log(math.sqrt(nn)) / math.log1p(BULK_MARGIN))
 
@@ -374,11 +387,13 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
         # at the full block one extraction is the whole window (see below)
         history = deque(maxlen=STABLE_WINDOW if p < nn else 1)
         inside = 0    # products since the k-th positive Ritz entered the disk
+        ahead = 0     # products the k-th positive Ritz value predicts, times AHEAD
         end = total_it + ROUND_SWEEPS
         while total_it < end:
-            # while the window counts, run ahead on the raw rows and
-            # orthonormalize only before the extraction
-            steps = min(WINDOW_PRODUCTS, end - total_it) if inside else 1
+            # while the window counts, or short of the predicted point, run
+            # ahead on the raw rows and orthonormalize only before the extraction
+            batch = inside or total_it + WINDOW_PRODUCTS <= ahead
+            steps = min(WINDOW_PRODUCTS, end - total_it) if batch else 1
             for _ in range(steps - 1):
                 X, spare = _product(M, X, spare), X
             _metric_orthonormalize(X, d, out=Q)
@@ -409,9 +424,12 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
                 floor = np.min(np.abs(theta)) if p < nn else -np.inf
                 if vals[k - 1] >= floor - max(1e-8, 1e-6 * abs(floor)):
                     return _pairs(cand, k)
-            if early:
+            if bulk_radius is not None:
                 kth = np.sort(np.where(theta.real > 0, np.abs(theta), 0.0))[-k]
-                inside = inside + steps if kth <= bulk_edge else 0
+                if kth > bulk_edge and p < nn:
+                    ahead = int(AHEAD * math.log(VALUE_RTOL)
+                                / math.log(bulk_radius / kth))
+                inside = inside + steps if kth <= bulk_edge and k >= 2 else 0
                 if inside >= bulk_window and nn <= SMALL_DIM:
                     break   # the stall handling grows a small block to nn
                 if inside >= bulk_window and _leading_stable(history, ok, k - 1):
@@ -517,9 +535,11 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
 
     mode 'iterative', the route of ``pipeline`` and ``bound``, runs the
     block iteration on the matrix-free T (:func:`nbmat.T_operator`) under
-    the D_row metric, given the bulk radius 1/sqrt(c - 1) with c = 2m/n:
-    once the k-th Ritz value has settled inside the bulk disk it stops, or
-    up to SMALL_DIM takes the full block (see leading_real_eigenpairs).
+    the D_row metric, given the bulk radius 1/sqrt(c - 1) with c = 2m/n
+    (:func:`bulk_disk_radius`): it batches products short of the predicted
+    convergence point, and once the k-th Ritz value has settled inside the
+    bulk disk it stops, or up to SMALL_DIM takes the full block (see
+    leading_real_eigenpairs).
     mode 'dense' decomposes the full CSR matrix, capped at DENSE_CAP, and
     also counts positive reals inside the bulk disk.
     Requires a connected 2-core that is not a cycle, checked from the index
@@ -548,7 +568,7 @@ def real_eigenbasis_T(idx: OrientedEdgeIndex, k: int, mode: str = "dense",
     elif mode == "iterative":
         T = nbmat.T_operator(idx)
         drow = nbmat.build_D_row(idx)
-        radius = 1.0 / np.sqrt(2.0 * idx.m / idx.n - 1.0)
+        radius = bulk_disk_radius("T", 2.0 * idx.m / idx.n)
         try:
             res = leading_real_eigenpairs(T, k, inner=drow, seed=seed,
                                           bulk_radius=radius)
@@ -671,11 +691,16 @@ def leading_reals_B(idx: OrientedEdgeIndex, k: int, seed: int = 0) -> np.ndarray
 
     The block iteration runs on the 2n x 2n Ihara-Bass companion
     (:func:`nbmat.ihara_bass_companion`), whose real eigenvalues above 1 are
-    those of B, and its InsufficientRealRitzError / NoConvergenceError
-    propagate (the former carries the partial result in ``found``).
+    those of B, given B's bulk radius sqrt(c), c = 2m/n: it batches products
+    short of the predicted convergence point, and once the k-th Ritz value
+    has settled inside the bulk disk it stops, or up to SMALL_DIM takes the
+    full block (see :func:`leading_real_eigenpairs`).  Its
+    InsufficientRealRitzError / NoConvergenceError propagate (the former
+    carries the partial result in ``found``).
     """
-    return leading_real_eigenpairs(nbmat.ihara_bass_companion(idx), k,
-                                   seed=seed).values
+    return leading_real_eigenpairs(
+        nbmat.ihara_bass_companion(idx), k, seed=seed,
+        bulk_radius=bulk_disk_radius("B", 2.0 * idx.m / idx.n)).values
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

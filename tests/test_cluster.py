@@ -252,6 +252,17 @@ def test_pipeline_rejects_truth_of_the_wrong_length():
         nb.pipeline(g, 2, truth=np.zeros(g.n - 1, dtype=np.int64))
 
 
+def test_pipeline_rejects_model_truth_of_the_wrong_length_before_the_solve(
+        monkeypatch):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the T eigenbasis was solved")
+
+    monkeypatch.setattr(spectra, "real_eigenbasis_T", unreached)
+    with pytest.raises(CountMismatchError, match="3 labels"):
+        nb.pipeline(nb.SbmParams(n=2000, k=2, a=16.0, b=4.0, seed=0), 2,
+                    truth=[0, 1, 1])
+
+
 def test_pipeline_labels_the_nodes_of_the_input_graph():
     g = petersen_with_tails()
     core, table = nb.two_core(g)

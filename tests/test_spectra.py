@@ -346,7 +346,7 @@ def test_leading_work_counts_of_the_n2000_T_solves():
     assert (found.iterations, found.extractions, found.block_size) == (105, 27, 6)
     T, drow, radius = _sbm_T(a=16.0, b=4.0)
     res = nb.leading_real_eigenpairs(T, 2, inner=drow, bulk_radius=radius)
-    assert (res.iterations, res.extractions, res.block_size) == (33, 27, 6)
+    assert (res.iterations, res.extractions, res.block_size) == (33, 18, 6)
 
 
 def _found(M, k, **kwargs):
@@ -524,14 +524,8 @@ def test_a_short_exit_carries_the_leading_pairs_its_message_counts(case):
     assert_ritz_contract(M, found)
 
 
-def test_small_T_takes_the_full_block_once_the_bulk_window_fills(monkeypatch):
-    # on a null sample the second Ritz value settles inside the bulk disk;
-    # a T of dimension at most SMALL_DIM then takes the full block at once,
-    # where one exact extraction reads every positive real, including those
-    # inside the disk, instead of first spending a whole round of products
-    g = nb.sample(nb.SbmParams(n=40, k=2, a=11.0, b=9.0, seed=0)).graph
-    idx = nb.oriented_edges(g)
-    assert 2 * idx.m <= spectra.SMALL_DIM
+def _spy_on_solves(monkeypatch):
+    """Record the result, or the pairs found, of every block iteration."""
     solve, seen = spectra.leading_real_eigenpairs, []
 
     def spy(*args, **kwargs):
@@ -543,6 +537,18 @@ def test_small_T_takes_the_full_block_once_the_bulk_window_fills(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(spectra, "leading_real_eigenpairs", spy)
+    return seen
+
+
+def test_small_T_takes_the_full_block_once_the_bulk_window_fills(monkeypatch):
+    # on a null sample the second Ritz value settles inside the bulk disk;
+    # a T of dimension at most SMALL_DIM then takes the full block at once,
+    # where one exact extraction reads every positive real, including those
+    # inside the disk, instead of first spending a whole round of products
+    g = nb.sample(nb.SbmParams(n=40, k=2, a=11.0, b=9.0, seed=0)).graph
+    idx = nb.oriented_edges(g)
+    assert 2 * idx.m <= spectra.SMALL_DIM
+    seen = _spy_on_solves(monkeypatch)
     basis = nb.real_eigenbasis_T(idx, 2, mode="iterative", seed=0)
     [res] = seen
     assert res.block_size == 2 * idx.m
@@ -550,6 +556,54 @@ def test_small_T_takes_the_full_block_once_the_bulk_window_fills(monkeypatch):
     w = np.linalg.eigvals(nb.build_T(idx).toarray())
     reals = np.sort(w.real[(np.abs(w.imag) < 1e-8) & (w.real > 1e-10)])[::-1]
     assert basis.values == pytest.approx(reals[:2], abs=1e-10)
+
+
+def test_small_companion_takes_the_full_block_at_the_bulk_disk(monkeypatch):
+    # below the threshold the second real of B lies inside its bulk disk of
+    # radius sqrt(c); given that radius, the small companion takes the full
+    # block once the bulk window fills, not after a stalled round of
+    # ROUND_SWEEPS products
+    g = nb.sample(nb.SbmParams(n=40, k=2, a=11.0, b=9.0, seed=0)).graph
+    idx = nb.oriented_edges(g)
+    C = nbmat.ihara_bass_companion(idx)
+    assert C.shape[0] <= spectra.SMALL_DIM
+    seen = _spy_on_solves(monkeypatch)
+    mus = spectra.leading_reals_B(idx, 2, seed=0)
+    [res] = seen
+    assert res.block_size == C.shape[0]
+    assert res.iterations <= 50
+    w = np.linalg.eigvals(C.toarray())
+    reals = np.sort(w.real[np.abs(w.imag) < 1e-8])[::-1]
+    assert mus == pytest.approx(reals[:2], rel=1e-8)
+
+
+# (k, a, b): the criterion-8 regimes, each asked for its structural reals
+CRITERION_8 = [(2, 16.0, 4.0), (1, 11.0, 9.0), (3, 24.0, 3.0)]
+
+
+@pytest.mark.parametrize("k, a, b", CRITERION_8)
+def test_bulk_radius_batches_extractions_but_changes_no_products(k, a, b):
+    # the radius lets the solve batch products short of the predicted
+    # convergence point; it must end on the same product with the same block
+    # and values, in no more extractions
+    for n in (100, 200, 300):
+        for seed in range(3):
+            g = nb.sample(nb.SbmParams(n=n, k=max(k, 2), a=a, b=b,
+                                       seed=seed)).graph
+            idx = nb.oriented_edges(g)
+            c = 2.0 * idx.m / idx.n
+            for M, kwargs, radius in (
+                    (nbmat.T_operator(idx), {"inner": nb.build_D_row(idx)},
+                     spectra.bulk_disk_radius("T", c)),
+                    (nbmat.ihara_bass_companion(idx), {},
+                     spectra.bulk_disk_radius("B", c))):
+                free = nb.leading_real_eigenpairs(M, k, seed=seed, **kwargs)
+                held = nb.leading_real_eigenpairs(M, k, seed=seed,
+                                                  bulk_radius=radius, **kwargs)
+                assert held.iterations == free.iterations
+                assert held.block_size == free.block_size
+                assert held.extractions <= free.extractions
+                assert held.values == pytest.approx(free.values, rel=1e-12)
 
 
 def test_leading_matches_dense_on_sbm():
