@@ -16,14 +16,14 @@ with ``diff -r``.  ``--src`` names the ``src/`` directory that ``nbspectra``
 is imported from (default: the one next to this tool), so a second checkout
 is snapshotted with this same command set:
 
-    python3 tools/cli_snapshot.py /tmp/new
-    python3 tools/cli_snapshot.py /tmp/old --src ../old-checkout/src
-    diff -r /tmp/old /tmp/new
+    python3 tools/cli_snapshot.py ../snap-new
+    python3 tools/cli_snapshot.py ../snap-old --src ../old-checkout/src
+    diff -r ../snap-old ../snap-new
 
 The set: at n=40, for (a, b, k) = (16, 4, 2), (11, 9, 2) and (24, 3, 3) and
 seeds 0, 1, 2, 3, 5, ``gen``, ``cluster --truth --assign`` in both modes,
 ``bound`` and ``verify``, and iterative ``spectrum`` of T and B asked for
-k + 1 reals (the stall and bulk-disk exits); dense ``spectrum`` of B, T, L
+k + 1 reals (the stall and full-block exits); dense ``spectrum`` of B, T, L
 and BV on each seed-0 graph; ``pipeline`` at n=2000 in both modes for the
 same regimes and seeds 0 and 1; and ``gen --n 301 --k 3`` with iterative
 ``spectrum`` of T, B and L.
@@ -115,8 +115,8 @@ def main(argv=None) -> int:
     from nbspectra import cli
 
     os.chdir(args.outdir)
-    failed = 0
-    for name, argv_ in commands():
+    runs, failed = commands(), 0
+    for name, argv_ in runs:
         run = Path("runs") / name
         run.mkdir(parents=True)
         out, err = io.StringIO(), io.StringIO()
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
         (run / "exit").write_text(f"{code}\n")
         failed += code != 0
         print(f"{code} {name}", flush=True)
-    print(f"{len(commands())} runs, {failed} with a nonzero exit code")
+    print(f"{len(runs)} runs, {failed} with a nonzero exit code")
     return 0
 
 
