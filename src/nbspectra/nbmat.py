@@ -210,9 +210,10 @@ def spectral_norm(M, seed: int = 0) -> float:
     """Largest singular value, by ARPACK Lanczos on M^T M to machine precision.
 
     ``M`` may be a scipy sparse matrix, a dense array or a LinearOperator
-    with ``rmatvec``.  The start vector is drawn from ``default_rng(seed)``,
-    so the result is deterministic for a given seed.  Raises
-    NoConvergenceError when ARPACK does not converge.
+    with ``rmatvec``.  Lanczos runs on one operator x -> M^T (M x), two
+    calls into ``M`` per step.  The start vector is drawn from
+    ``default_rng(seed)``, so the result is deterministic for a given seed.
+    Raises NoConvergenceError when ARPACK does not converge.
     """
     op = aslinearoperator(M)
     ncols = op.shape[1]
@@ -223,8 +224,10 @@ def spectral_norm(M, seed: int = 0) -> float:
     v0 = np.random.default_rng(seed).standard_normal(ncols)
     if not np.any(op.matvec(v0)):           # ARPACK rejects a zero operator
         return 0.0
+    gram = LinearOperator((ncols, ncols), dtype=op.dtype,
+                          matvec=lambda x: op.rmatvec(op.matvec(x)))
     try:
-        top = eigsh(op.H @ op, k=1, which="LA", tol=0, v0=v0,
+        top = eigsh(gram, k=1, which="LA", tol=0, v0=v0,
                     return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise NoConvergenceError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import nbmat
@@ -39,14 +38,18 @@ def bauer_fike_radius(U: np.ndarray, A, Bp, seed: int = 0) -> float:
 
     A and Bp may be dense arrays, sparse matrices, or LinearOperators; the
     difference norm is the spectral norm by Lanczos
-    (:func:`nbmat.spectral_norm`), accurate to machine precision.
+    (:func:`nbmat.spectral_norm`), accurate to machine precision, on one
+    operator x -> Bp x - A x (and Bp^T x - A^T x).
     """
     opA, opB = aslinearoperator(A), aslinearoperator(Bp)
     if opA.shape != opB.shape:
         raise BadParameterError(
             f"base {opA.shape} and perturbed {opB.shape} shapes differ")
     kappa = spectral_condition_number(U)
-    norm = nbmat.spectral_norm(opB - opA, seed=seed)
+    diff = LinearOperator(opA.shape, dtype=np.result_type(opA.dtype, opB.dtype),
+                          matvec=lambda x: opB.matvec(x) - opA.matvec(x),
+                          rmatvec=lambda x: opB.rmatvec(x) - opA.rmatvec(x))
+    norm = nbmat.spectral_norm(diff, seed=seed)
     return float(kappa * norm)
 
 
@@ -153,6 +156,16 @@ def _low_rank(U: np.ndarray, lam: np.ndarray, V: np.ndarray) -> LinearOperator:
                           dtype=np.float64)
 
 
+def _diagonal(d: np.ndarray) -> LinearOperator:
+    """diag(d) as a linear operator."""
+
+    def mv(x):
+        return d * x
+
+    return LinearOperator((len(d), len(d)), matvec=mv, rmatvec=mv,
+                          dtype=np.float64)
+
+
 def reduced_pair(idx, basis, mu1: float) -> tuple[LinearOperator, LinearOperator]:
     """Base and section whose difference has the norm of Z Lambda W^T - B/mu1.
 
@@ -166,7 +179,8 @@ def reduced_pair(idx, basis, mu1: float) -> tuple[LinearOperator, LinearOperator
     for c1 = P^T Z and c2 = P^T V W.  The pair returned is that diagonal
     (the base) and c1 Lambda c2^T (the section), on dimension n + r with
     r <= 2k, plus one coordinate of value -1/mu1 for the complement when it
-    is nonempty; the norm of their difference is ||E||.
+    is nonempty; the norm of their difference is ||E||.  Both are
+    LinearOperators on 1-d vectors; the base applies x -> base * x.
     """
     n, n2 = idx.n, 2 * idx.m
     deg = idx.degrees.astype(np.float64)
@@ -186,8 +200,7 @@ def reduced_pair(idx, basis, mu1: float) -> tuple[LinearOperator, LinearOperator
         c = np.vstack([c, np.zeros((1, c.shape[1]))])
         base = np.append(base, -1.0 / mu1)
     k = basis.k
-    return (aslinearoperator(sp.diags(base)),
-            _low_rank(c[:, :k], basis.values, c[:, k:]))
+    return _diagonal(base), _low_rank(c[:, :k], basis.values, c[:, k:])
 
 
 def bound_report(idx, basis, mus, seed: int = 0) -> BoundReport:

@@ -244,7 +244,8 @@ def _metric_orthonormalize(X: np.ndarray, d: np.ndarray | None,
         s = 1.0 / np.sqrt(g)
         try:
             L = np.linalg.cholesky(gram * s * s[:, None])
-            if np.linalg.cond(L) <= CHOLQR_MAX_COND:
+            sv = np.linalg.svd(L, compute_uv=False)
+            if sv[0] / sv[-1] <= CHOLQR_MAX_COND:
                 return np.matmul(np.linalg.inv(L) * s, X, out=out)
         except np.linalg.LinAlgError:
             pass
@@ -265,15 +266,18 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", X, X))
 
 
-def _leading_stable(history: deque, ok: np.ndarray, j: int) -> bool:
-    """The j leading candidates held within VALUE_RTOL over a full
-    ``history`` window and pass the residual test in this sweep."""
+def _leading_stable(history: deque, ok, j: int) -> bool:
+    """The j >= 1 leading candidates held within VALUE_RTOL over a full
+    ``history`` window and pass the residual test in this sweep; ``ok()``
+    gives the indices of the sweep's candidates that pass it, and is called
+    only once the values have held."""
     if len(history) < history.maxlen or any(len(h) < j for h in history):
         return False
     ref = history[-1][:j]
-    stable = all(np.max(np.abs(h[:j] - ref) / (1.0 + np.abs(ref))) <= VALUE_RTOL
-                 for h in history)
-    return stable and np.array_equal(ok[:j], np.arange(j))
+    window = np.array([h[:j] for h in history])
+    if not np.max(np.abs(window - ref) / (1.0 + np.abs(ref))) <= VALUE_RTOL:
+        return False
+    return np.array_equal(ok()[:j], np.arange(j))
 
 
 def _pairs(cand: LeadingEigenResult, j: int) -> LeadingEigenResult:
@@ -292,9 +296,11 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     Runs power steps on a block of k + 4 vectors (at most the dimension) with
     a Rayleigh-Ritz extraction after each product of ``M`` with the block
     (a sweep), except where a bulk radius lets it batch products (below):
-    the k + 2 largest real Ritz values and their vectors v = Q s / ||Q s||
-    are extracted as one block, with the residual ||M v - theta v|| taken
-    per vector.  The
+    the k + 2 largest real Ritz values are extracted.  Their vectors
+    v = Q s / ||Q s|| and residuals ||M v - theta v|| are formed as one
+    block, at most once per sweep and only once the leading values have
+    held over the stability window, where the residual test and the pairs
+    returned or raised read them.  The
     rules below are module constants.  A Ritz value is retained when its
     imaginary part is at most TAU_IM * (1 + |value|) and its residual at
     most RESIDUAL_RTOL times the scale of :func:`nbmat.norm_bound` (``M`` is
@@ -377,6 +383,27 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
     # X holds the rows that the next sweep orthonormalizes.
     X = np.ascontiguousarray(rng.standard_normal((nn, p)).T)
 
+    def ok():
+        """Indices of the sweep's candidates that pass the residual test.
+        The first call in a sweep forms its Ritz block ``cand``: the vectors
+        v = Q s / ||Q s|| in ``spare`` and the residual rows in ``Q``, which
+        is spent then."""
+        nonlocal cand, passed
+        if cand is None:
+            S_rt = S.real[:, ridx].T
+            SQ = np.matmul(S_rt, Q, out=spare[:len(vals)])
+            nv = _row_norms(SQ)
+            resid = np.matmul(S_rt, Y, out=Q[:len(vals)])
+            for row, val, sq in zip(resid, vals, SQ):
+                row -= val * sq
+            res = _row_norms(resid) / nv
+            SQ /= nv[:, None]
+            cand = LeadingEigenResult(values=vals, vectors=SQ.T, residuals=res,
+                                      iterations=total_it, block_size=p,
+                                      extractions=extractions)
+            passed = np.nonzero(res <= RESIDUAL_RTOL * norm_m)[0]
+        return passed
+
     total_it = extractions = 0
     while True:
         # the round's three p x nn blocks, reused by every sweep: X, which
@@ -405,20 +432,8 @@ def leading_real_eigenpairs(M, k: int, inner: np.ndarray | None = None,
             ridx = np.nonzero(is_real(theta))[0]
             ridx = ridx[np.argsort(-theta.real[ridx])][: k + 2]
             ridx = ridx[S.real[:, ridx].any(axis=0)]
-            S_rt = S.real[:, ridx].T
             vals = theta.real[ridx]
-            SQ = np.matmul(S_rt, Q, out=spare[:len(vals)])
-            nv = _row_norms(SQ)
-            # Q is spent once SQ is formed
-            resid = np.matmul(S_rt, Y, out=Q[:len(vals)])
-            for row, val, sq in zip(resid, vals, SQ):
-                row -= val * sq
-            res = _row_norms(resid) / nv
-            SQ /= nv[:, None]
-            cand = LeadingEigenResult(values=vals, vectors=SQ.T, residuals=res,
-                                      iterations=total_it, block_size=p,
-                                      extractions=extractions)
-            ok = np.nonzero(res <= RESIDUAL_RTOL * norm_m)[0]
+            cand = passed = None    # formed by the sweep's first ok()
             history.append(vals[:k])
             if _leading_stable(history, ok, k):
                 floor = np.min(np.abs(theta)) if p < nn else -np.inf

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import aslinearoperator, eigsh
 
 import nbspectra as nb
-from nbspectra import perturb
+from nbspectra import perturb, spectra
 from nbspectra.errors import (
     BadParameterError,
     CountMismatchError,
@@ -136,3 +138,28 @@ def test_kappa_bounds_reported_on_petersen():
     rep = nb.bound_report(idx, basis, np.array([2.0, 1.0]))
     # 3-regular: both degree-based bounds are exact here
     assert rep.kappa_numeric <= rep.kappa_bound_ratio + 1e-9
+
+
+@pytest.mark.parametrize("n, a, b, seed", [
+    (40, 16.0, 4.0, 0), (40, 16.0, 4.0, 1), (40, 11.0, 9.0, 0),
+    (40, 11.0, 9.0, 1), (300, 16.0, 4.0, 0)])
+def test_flat_bauer_fike_operators_match_the_composed_ones(n, a, b, seed):
+    # the difference and its Gram operator built by scipy's operator algebra
+    # over a sparse diagonal base, from the same start vector: the flat
+    # operators run the same floating-point operations in the same order, so
+    # Lanczos sees the same vectors and the radius agrees to the last bit
+    g = nb.two_core(nb.sample(nb.SbmParams(n=n, k=2, a=a, b=b,
+                                           seed=seed)).graph)[0]
+    idx = nb.oriented_edges(g)
+    basis = nb.real_eigenbasis_T(idx, 2, mode="iterative", seed=seed)
+    mus = spectra.leading_reals_B(idx, 2, seed=seed)
+    base, section = perturb.reduced_pair(idx, basis, mus[0])
+    dim = base.shape[0]
+    op = (aslinearoperator(section)
+          - aslinearoperator(sp.diags(base.matvec(np.ones(dim)))))
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    top = eigsh(op.H @ op, k=1, which="LA", tol=0, v0=v0,
+                return_eigenvectors=False)
+    composed = float(nb.spectral_condition_number(basis.Z)
+                     * float(np.sqrt(max(top[0], 0.0))))
+    assert nb.bauer_fike_radius(basis.Z, base, section, seed=seed) == composed

@@ -349,6 +349,36 @@ def test_leading_work_counts_of_the_n2000_T_solves():
     assert (res.iterations, res.extractions, res.block_size) == (33, 18, 6)
 
 
+def test_leading_forms_one_ritz_block_per_solve(monkeypatch):
+    # the Ritz vectors and residuals, two row-norm passes, are formed only in
+    # a sweep whose leading values have held; on these solves that is the
+    # final sweep alone, however many extractions ran before it
+    calls = []
+    row_norms = spectra._row_norms
+
+    def counted(X):
+        calls.append(len(X))
+        return row_norms(X)
+
+    monkeypatch.setattr(spectra, "_row_norms", counted)
+    T, drow, radius = _sbm_T()
+    found = _found(T, 2, inner=drow, bulk_radius=radius)
+    assert (found.iterations, found.extractions, found.block_size) == (105, 27, 6)
+    assert len(calls) == 2
+    T, drow, radius = _sbm_T(a=16.0, b=4.0)
+    res = nb.leading_real_eigenpairs(T, 2, inner=drow, bulk_radius=radius)
+    assert (res.iterations, res.extractions, res.block_size) == (33, 18, 6)
+    assert len(calls) == 4
+    g = nb.two_core(nb.sample(nb.SbmParams(n=40, k=2, a=11.0, b=9.0,
+                                           seed=0)).graph)[0]
+    idx = nb.oriented_edges(g)
+    res = nb.leading_real_eigenpairs(
+        nbmat.ihara_bass_companion(idx), 2,
+        bulk_radius=spectra.bulk_disk_radius("B", 2.0 * idx.m / idx.n))
+    assert res.extractions > 1
+    assert len(calls) == 6
+
+
 def _found(M, k, **kwargs):
     with pytest.raises(InsufficientRealRitzError) as info:
         nb.leading_real_eigenpairs(M, k, **kwargs)

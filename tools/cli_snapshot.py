@@ -26,7 +26,8 @@ seeds 0, 1, 2, 3, 5, ``gen``, ``cluster --truth --assign`` in both modes,
 k + 1 reals (the stall and full-block exits); dense ``spectrum`` of B, T, L
 and BV on each seed-0 graph; ``pipeline`` at n=2000 in both modes for the
 same regimes and seeds 0 and 1; and ``gen --n 301 --k 3`` with iterative
-``spectrum`` of T, B and L.
+``spectrum`` of T, B and L and ``bound`` at k = 2 and 3, whose T solves stay
+short of the full block.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ def commands():
         runs.append((f"spectrum-iterative-{matrix}-{tag}",
                      ["spectrum", "--graph", graph, "--matrix", matrix,
                       "--mode", "iterative", "--k", "3", "--seed", "0"]))
+    for k in (2, 3):
+        name = f"bound-k{k}-{tag}"
+        runs.append((name, ["bound", "--graph", graph, "--seed", "0",
+                            "--k", str(k), "--out", f"runs/{name}/bound.json"]))
     return runs
 
 
